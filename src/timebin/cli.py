@@ -98,6 +98,11 @@ def validate_config(experiment: str, cfg: dict):
             raise ConfigError("omega_grid must be nonempty")
         if not cfg["K_dt_list"]:
             raise ConfigError("K_dt_list must be nonempty")
+        if not isinstance(cfg["n_max"], int) or cfg["n_max"] < 2:
+            raise ConfigError(
+                "n_max must be an integer >= 2: the ground-space overlap "
+                "needs sector 2"
+            )
     if experiment == "subtraction" and not cfg["gamma_grid"]:
         raise ConfigError("gamma_grid must be nonempty")
     if experiment == "incoherent" and cfg["n_circulations"] < 1:

@@ -2,18 +2,21 @@
 single-photon-ancilla preparation protocol.
 
 Drive channel.  One site couples to a fresh coherent-state ancilla through
-a weak beamsplitter, the ancilla is traced out, and a linear phase rotates
-the site.  The circuit parameters (K, alpha, Phi) simulate a drive/loss
-generator with conj(alpha) K = F, gamma dt = (K dt)^2 and Phi = Omega dt.
-The channel is realized as Kraus operators K_m = <m| U_bs |alpha~>: the
-beamsplitter conserves n_site + n_ancilla and acts trivially on everything
-else, so the restricted joint unitary splits into tiny two-mode orbits and
-each Kraus operator is sparse with at most ancilla_cut entries per column.
+a weak beamsplitter, the ancilla is traced out, and a linear phase
+e^{i Phi n_site} rotates the site.  The circuit parameters (K, alpha, Phi)
+simulate a drive/loss generator with conj(alpha) K = F, gamma dt = (K dt)^2
+and Phi = Omega dt.  The dissipative part is realized as Kraus operators
+K_m = <m| U_bs |alpha~>: the beamsplitter conserves n_site + n_ancilla and
+acts trivially on everything else, so the restricted joint unitary splits
+into tiny two-mode orbits and each Kraus operator is sparse with at most
+ancilla_cut entries per column.  Only the phase depends on the drive
+frequency, and it commutes with every other site's Kraus map and with the
+number-conserving Trotter step, so a full circulation factors as
+E_Omega = P_Omega o E_0 with P_Omega one diagonal on rho.
 
-Fixed points are found by power iteration (optionally Anderson-accelerated,
-with a plain-step fallback whenever extrapolation fails to shrink the
-residual); the returned report always states the exact trace-norm residual
-of one more channel application.
+Fixed points are found by plain power iteration; the returned report
+always states the exact trace-norm residual of one more channel
+application.
 
 Single-photon-ancilla protocol.  Each site owns a persistent ancilla,
 refreshed to one photon with probability p_ref per circulation.  The exact
@@ -36,8 +39,9 @@ space.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -163,7 +167,12 @@ def _two_mode_orbit_unitaries(theta: float, a_cap: int, cut: int) -> dict:
 
 
 class DriveDissChannel:
-    """Per-site drive/dissipation channel on a multi-sector basis.
+    """Per-site drive/dissipation Kraus map on a multi-sector basis.
+
+    The map leaves out the site's linear phase e^{i Phi n_site}, so nothing
+    built here depends on Omega_drive: CirculationChannel applies every
+    site's phase at once as one diagonal, and drive_diss_channel applies
+    this site's.
 
     The Kraus operators are sparse: a photon can only move between the site
     and the ancilla, so each basis column couples to at most ancilla_cut
@@ -227,7 +236,6 @@ class DriveDissChannel:
                     dtype=complex,
                 )
             )
-        self._phase = np.exp(1j * params.Phi * n_site)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         out = np.zeros(rho.shape, dtype=complex)
@@ -236,17 +244,16 @@ class DriveDissChannel:
             # (K rho) K+ computed as (K (K rho)+)+ to keep both products
             # in the fast sparse-times-dense path
             out += (k @ tmp.conj().T).conj().T
-        return (self._phase[:, None] * out) * self._phase.conj()[None, :]
+        return out
 
     def as_superoperator(self) -> sp.csr_matrix:
         """Sparse matrix acting on the row-major vec of rho:
-        vec(K rho K+) = (K kron conj(K)) vec(rho), phase folded in."""
+        vec(K rho K+) = (K kron conj(K)) vec(rho)."""
         d = self.basis.dim
         s = sp.csr_matrix((d * d, d * d), dtype=complex)
         for k in self.kraus:
             s = s + sp.kron(k, k.conj(), format="csr")
-        phase2 = (self._phase[:, None] * self._phase.conj()[None, :]).ravel()
-        return sp.diags(phase2).tocsr() @ s
+        return s
 
     def kraus_defect(self) -> float:
         """max |sum_m K_m^dag K_m - I|, zero for a trace-preserving channel."""
@@ -256,14 +263,24 @@ class DriveDissChannel:
 
 def drive_diss_channel(rho: DensityMatrix, site: int, params: DriveDissParams,
                        ancilla_cut: int = 3) -> DensityMatrix:
-    """One application of the per-site drive/dissipation channel."""
+    """One application of the per-site drive/dissipation channel: the
+    site's Kraus map, then its phase e^{i Phi n_site}."""
     ch = DriveDissChannel(rho.basis, site, params, ancilla_cut)
-    return DensityMatrix(rho.basis, ch.apply(rho.matrix))
+    phase = np.exp(1j * params.Phi * rho.basis.occupations()[:, site])
+    out = ch.apply(rho.matrix)
+    return DensityMatrix(rho.basis, (phase[:, None] * out) * phase.conj())
 
 
 class CirculationChannel:
     """One full circulation: a Trotter Hamiltonian step as rho -> U rho U+,
     then the drive/dissipation channel on every site.
+
+    The drive frequency enters only through the sites' phases e^{i Phi n_j},
+    Phi = Omega_drive dt.  Each commutes with the other sites' Kraus maps,
+    so ``__call__`` applies them all last, as one diagonal that multiplies
+    rho_ab by e^{i Phi (N_a - N_b)}.  The step and the per-site maps are
+    built without it, and ``at_omega`` returns the channel at another drive
+    frequency that shares them.
 
     Below ``super_dim_limit`` the per-site channels are fused into sparse
     superoperators on vec(rho) (one matvec per site instead of dozens of
@@ -276,7 +293,6 @@ class CirculationChannel:
                  super_dim_limit: int = 256):
         self.model = model
         self.delta_t = delta_t
-        self.params = params
         self.basis = basis or enumerate_basis(model.n_sites, range(n_max + 1))
         u = sp.identity(self.basis.dim, dtype=complex, format="csr")
         for desc in trotter_step_sequence(model, delta_t,
@@ -290,6 +306,22 @@ class CirculationChannel:
         self._supers = None
         if self.basis.dim <= super_dim_limit:
             self._supers = [site.as_superoperator() for site in self.sites]
+        self._tune(params)
+
+    def _tune(self, params: DriveDissParams):
+        self.params = params
+        n = self.basis.totals()
+        self._phase = np.exp(1j * params.Phi * (n[:, None] - n[None, :]))
+
+    def at_omega(self, Omega_drive: float) -> "CirculationChannel":
+        """The channel at another drive frequency; it shares this one's
+        step and per-site maps."""
+        ch = copy.copy(self)
+        ch._tune(replace(
+            self.params, Omega_drive=Omega_drive,
+            Phi=Omega_drive * self.params.delta_t,
+        ))
+        return ch
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         out = self.step @ rho @ self.step.conj().T
@@ -297,10 +329,11 @@ class CirculationChannel:
             v = out.ravel()
             for s in self._supers:
                 v = s @ v
-            return v.reshape(out.shape)
-        for site in self.sites:
-            out = site.apply(out)
-        return out
+            out = v.reshape(out.shape)
+        else:
+            for site in self.sites:
+                out = site.apply(out)
+        return self._phase * out
 
 
 def full_circulation_channel(rho: DensityMatrix, model: LatticeModel,
@@ -321,71 +354,28 @@ def _trace_norm(mat: np.ndarray) -> float:
 
 
 def fixed_point(channel, initial_rho: DensityMatrix, tol: float = 1e-9,
-                max_iter: int = 200_000, accel: str = None,
-                accel_depth: int = 8) -> SteadyStateReport:
-    """Iterate a trace-preserving channel to its fixed point.
+                max_iter: int = 200_000) -> SteadyStateReport:
+    """Iterate a trace-preserving channel to its fixed point by plain power
+    iteration.
 
-    Plain power iteration by default; accel="anderson" turns on depth-m
-    Anderson mixing of the iterate history (each accelerated step still
-    costs exactly one channel application; the history is dropped whenever
-    the residual grows, which safeguards against divergence).  Convergence
-    is declared once sqrt(dim) * ||delta||_F < tol, which bounds the
-    trace-norm criterion ||delta||_1 < tol; the report carries the exact
-    trace-norm residual of one extra channel application.
+    Convergence is declared once sqrt(dim) * ||delta||_F < tol, which
+    bounds the trace-norm criterion ||delta||_1 < tol; the report carries
+    the exact trace-norm residual of one extra channel application.
     """
     basis = initial_rho.basis
-    dim = basis.dim
-    apply_ch = channel if callable(channel) else channel.__call__
     rho = initial_rho.matrix.astype(complex).copy()
-    sq_dim = math.sqrt(dim)
-
-    hist_x, hist_g = [], []
-    prev_res = np.inf
+    sq_dim = math.sqrt(basis.dim)
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        nxt = apply_ch(rho)
-        g = nxt - rho
-        res = np.linalg.norm(g)
+        nxt = channel(rho)
+        res = np.linalg.norm(nxt - rho)
+        rho = nxt
         if sq_dim * res < tol:
-            rho = nxt
             converged = True
             break
-        if accel != "anderson":
-            rho = nxt
-            continue
-        if res > prev_res * 1.5:
-            hist_x.clear()
-            hist_g.clear()
-        prev_res = res
-        hist_x.append(rho.ravel())
-        hist_g.append(g.ravel())
-        if len(hist_x) > accel_depth:
-            hist_x.pop(0)
-            hist_g.pop(0)
-        if len(hist_x) < 2:
-            rho = nxt
-            continue
-        gm = hist_g[-1]
-        G = np.stack([gk - gm for gk in hist_g[:-1]], axis=1)
-        try:
-            coef, *_ = np.linalg.lstsq(G, -gm, rcond=None)
-        except np.linalg.LinAlgError:
-            rho = nxt
-            continue
-        x_acc = hist_x[-1] + gm
-        base = hist_x[-1] + gm
-        for c, xk, gk in zip(coef, hist_x[:-1], hist_g[:-1]):
-            x_acc = x_acc + c * ((xk + gk) - base)
-        cand = x_acc.reshape(dim, dim)
-        cand = 0.5 * (cand + cand.conj().T)
-        tr = np.real(np.trace(cand))
-        if not np.isfinite(tr) or tr < 0.1:
-            rho = nxt
-        else:
-            rho = cand / tr
 
-    final = apply_ch(rho)
+    final = channel(rho)
     residual = _trace_norm(final - rho)
     return SteadyStateReport(
         rho_fix=DensityMatrix(basis, rho),

@@ -1,4 +1,4 @@
-"""The five benchmark experiments behind the command-line runner.
+"""The six benchmark experiments behind the command-line runner.
 
 Every experiment takes a flat config dict (validated upstream), writes CSV
 and JSON artifacts into an output directory, and returns a summary dict.
@@ -9,12 +9,17 @@ serialized with 17 significant digits.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import ctypes
+import functools
+import glob
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .dynamics import (
@@ -235,16 +240,50 @@ def run_spectrum(cfg, outdir):
 # --- steady state ------------------------------------------------------------
 
 
-def _steady_point(args):
-    (model, dt, k_dt, alpha_ratio, omega, n_max, ancilla_cut, tol,
-     ground_states) = args
-    basis = enumerate_basis(model.n_sites, range(n_max + 1))
-    params = DriveDissParams.from_circuit(k_dt, alpha_ratio * k_dt, omega, dt)
-    channel = CirculationChannel(
-        model, dt, params, n_max=n_max, ancilla_cut=ancilla_cut, basis=basis
-    )
-    rho0 = product_fock_state(basis, (0,) * model.n_sites).to_density_matrix()
-    rep = fixed_point(channel, rho0, tol=tol, accel="anderson",
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS copies bundled with
+    numpy (64-bit interface) and scipy; empty where those are absent."""
+    controls = []
+    for pkg, suffix in ((np, "64_"), (scipy, "")):
+        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)),
+                            pkg.__name__ + ".libs", "libscipy_openblas*")
+        for path in glob.glob(libs):
+            try:
+                lib = ctypes.CDLL(path)
+                get_n = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+                set_n = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            except (OSError, AttributeError):
+                continue
+            get_n.argtypes, get_n.restype = [], ctypes.c_int
+            set_n.argtypes, set_n.restype = [ctypes.c_int], None
+            controls.append((get_n, set_n))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block (or, as a decorator, the function) with BLAS on one
+    thread, then restore the old counts.
+
+    The steady-state scan then does the same arithmetic serially and in
+    pool workers, whatever OPENBLAS_NUM_THREADS says, and pool workers do
+    not oversubscribe the cores."""
+    controls = _openblas_thread_controls()
+    saved = [get_n() for get_n, _ in controls]
+    for _, set_n in controls:
+        set_n(1)
+    try:
+        yield
+    finally:
+        for (_, set_n), n in zip(controls, saved):
+            set_n(n)
+
+
+def _steady_point(channel, k_dt, omega, tol, ground_states):
+    basis = channel.basis
+    rho0 = product_fock_state(basis, (0,) * basis.n_modes).to_density_matrix()
+    rep = fixed_point(channel.at_omega(omega), rho0, tol=tol,
                       max_iter=100_000)
     rep = steady_state_observables(rep, ground_states)
     return (
@@ -255,6 +294,24 @@ def _steady_point(args):
     )
 
 
+# what every scan worker shares: the channels by K_dt, tol, ground states;
+# set once per worker by the pool initializer, never in the parent
+_worker_scan = None
+
+
+def _init_scan_worker(*scan):
+    global _worker_scan
+    _worker_scan = scan
+
+
+@_one_blas_thread()
+def _scan_worker_point(job):
+    channels, tol, ground_states = _worker_scan
+    k_dt, omega = job
+    return _steady_point(channels[k_dt], k_dt, omega, tol, ground_states)
+
+
+@_one_blas_thread()
 def run_steady_state(cfg, outdir, threads: int = 1):
     model = _fqh_model(cfg)
     dt = cfg["delta_t"]
@@ -264,16 +321,31 @@ def run_steady_state(cfg, outdir, threads: int = 1):
     eps_fqh = float(np.mean(spec2.energies[:2]))
     omegas = np.linspace(cfg["omega_min"], cfg["omega_max"],
                          cfg["omega_points"])
-    jobs = [
-        (model, dt, k_dt, cfg["alpha_ratio"], float(om), cfg["n_max"],
-         cfg.get("ancilla_cut", 3), cfg.get("tol", 1e-6), gs.states)
-        for k_dt in cfg["K_dt_list"] for om in omegas
-    ]
+    n_max, tol = cfg["n_max"], cfg.get("tol", 1e-6)
+    basis = enumerate_basis(model.n_sites, range(n_max + 1))
+    # omega only sets the channel's phase diagonal: one build per K_dt
+    channels = {
+        k_dt: CirculationChannel(
+            model, dt,
+            DriveDissParams.from_circuit(k_dt, cfg["alpha_ratio"] * k_dt,
+                                         0.0, dt),
+            n_max=n_max, ancilla_cut=cfg.get("ancilla_cut", 3), basis=basis,
+        )
+        for k_dt in cfg["K_dt_list"]
+    }
+    jobs = [(k_dt, float(om)) for k_dt in cfg["K_dt_list"] for om in omegas]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_steady_point, jobs))
+        with ProcessPoolExecutor(
+            max_workers=min(threads, len(jobs)),
+            initializer=_init_scan_worker,
+            initargs=(channels, tol, gs.states),
+        ) as pool:
+            results = list(pool.map(_scan_worker_point, jobs))
     else:
-        results = [_steady_point(j) for j in jobs]
+        results = [
+            _steady_point(channels[k_dt], k_dt, om, tol, gs.states)
+            for k_dt, om in jobs
+        ]
     results.sort(key=lambda r: (r[1], r[0]))
     non_conv = [r for r in results if not r[9]]
     write_csv(
