@@ -40,8 +40,6 @@ from .dynamics import (
     IncoherentProtocol,
     drive_diss_channel,
     fixed_point,
-    full_circulation_channel,
-    incoherent_protocol_step,
     steady_state_observables,
 )
 from .subtraction import (

@@ -12,6 +12,7 @@ import os
 import sys
 
 from . import experiments
+from .lattice import build_fqh
 
 DEFAULTS = {
     "quench": {
@@ -40,8 +41,8 @@ DEFAULTS = {
         "grid_points": 4097,
     },
     "compile": {
-        "geometry": "chain", "N_x": 8, "J": 1.0, "delta_t": 0.2,
-        "variant": "even_simple", "l_x": 1,
+        "geometry": "chain", "N_x": 8, "N_y": 4, "J": 1.0, "phi_plaq": 0.25,
+        "delta_t": 0.2, "variant": "even_simple", "l_x": 1, "l_y": None,
     },
 }
 
@@ -98,11 +99,19 @@ def validate_config(experiment: str, cfg: dict):
             raise ConfigError("omega_grid must be nonempty")
         if not cfg["K_dt_list"]:
             raise ConfigError("K_dt_list must be nonempty")
-        if not isinstance(cfg["n_max"], int) or cfg["n_max"] < 2:
-            raise ConfigError(
-                "n_max must be an integer >= 2: the ground-space overlap "
-                "needs sector 2"
-            )
+    if experiment in ("steady_state", "incoherent") and (
+        not isinstance(cfg["n_max"], int) or cfg["n_max"] < 2
+    ):
+        raise ConfigError(
+            "n_max must be an integer >= 2: the ground doublet lives in "
+            "sector 2"
+        )
+    # every flux-lattice config: the torus must hold an integer total flux
+    if "phi_plaq" in cfg and cfg.get("geometry", "square") == "square":
+        try:
+            build_fqh(cfg["N_x"], cfg["N_y"], cfg["J"], 0.0, cfg["phi_plaq"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if experiment == "subtraction" and not cfg["gamma_grid"]:
         raise ConfigError("gamma_grid must be nonempty")
     if experiment == "incoherent" and cfg["n_circulations"] < 1:

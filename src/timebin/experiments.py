@@ -30,13 +30,7 @@ from .dynamics import (
     steady_state_observables,
 )
 from .fock import enumerate_basis, product_fock_state
-from .gates import gate_matrix
-from .lattice import (
-    build_bose_hubbard,
-    build_fqh,
-    onsite_phase_table,
-    trotter_step_sequence,
-)
+from .lattice import build_bose_hubbard, build_fqh, step_operator
 from .schedule import (
     certify_equivalence,
     compile_1d,
@@ -131,9 +125,7 @@ def run_quench(cfg, outdir):
     dt = cfg["delta_t"]
     n_steps = int(round(cfg["total_time"] / dt))
     basis = enumerate_basis(n_x, {2})
-    step = np.eye(basis.dim, dtype=complex)
-    for d in trotter_step_sequence(model, dt, n_max=2):
-        step = gate_matrix(d, basis).entries @ step
+    step = step_operator(model, dt, basis)
     init = [0] * n_x
     init[n_x // 2 - 1] = init[n_x // 2] = 1
     psi = product_fock_state(basis, init).amplitudes
@@ -177,18 +169,9 @@ def free_boson_correlator(model, dt, n_steps, init_sites) -> np.ndarray:
     """Permanent-based prediction for two noninteracting photons: the
     sector-1 step unitary G gives amplitudes G_ia G_jb + G_ib G_ja."""
     basis1 = enumerate_basis(model.n_sites, {1})
-    g = np.eye(basis1.dim, dtype=complex)
-    for d in trotter_step_sequence(model, dt, n_max=1):
-        g = gate_matrix(d, basis1).entries @ g
-    g = np.linalg.matrix_power(g, n_steps)
-
-    def mode_index(site):
-        occ = [0] * model.n_sites
-        occ[site] = 1
-        return basis1.index[tuple(occ)]
-
-    a, b = (mode_index(s) for s in init_sites)
-    idx = [mode_index(s) for s in range(model.n_sites)]
+    g = np.linalg.matrix_power(step_operator(model, dt, basis1), n_steps)
+    idx = basis1.rank(np.eye(model.n_sites, dtype=int))    # site -> index
+    a, b = (idx[s] for s in init_sites)
     c = np.zeros((model.n_sites, model.n_sites))
     for i in range(model.n_sites):
         for j in range(model.n_sites):
@@ -485,25 +468,23 @@ def run_compile(cfg, outdir):
             cfg["N_x"], cfg.get("l_x", 1), cfg["J"] * dt,
             variant=cfg.get("variant", "even_simple"),
         )
-        basis = enumerate_basis(cfg["N_x"], {1})
     elif geometry == "square":
         model = build_fqh(cfg["N_x"], cfg["N_y"], cfg["J"], 0.0,
                           cfg["phi_plaq"], boundary="periodic")
         phases = {(a, b): cmath.phase(w) for a, b, w in model.edges}
+        l_y = cfg.get("l_y")
         layout, events = compile_2d(
             cfg["N_x"], cfg["N_y"], cfg.get("l_x", 1),
-            cfg.get("l_y", cfg["N_x"] // 2 + 1), cfg["J"] * dt,
+            cfg["N_x"] // 2 + 1 if l_y is None else l_y, cfg["J"] * dt,
             phases=phases,
         )
-        basis = enumerate_basis(model.n_sites, {1})
     else:
         raise ValueError(f"unknown geometry {geometry!r}")
+    basis = enumerate_basis(model.n_sites, {1})
 
     with open(os.path.join(outdir, "schedule.txt"), "w") as fh:
         fh.write(serialize_schedule(layout, events))
-    abstract = np.eye(basis.dim, dtype=complex)
-    for d in trotter_step_sequence(model, dt, n_max=1):
-        abstract = gate_matrix(d, basis).entries @ abstract
+    abstract = step_operator(model, dt, basis)
     op, firings = simulate_schedule(layout, events, basis)
     equal, distance, phase = certify_equivalence(op.to_dense(), abstract)
     summary = {

@@ -4,6 +4,17 @@ All bases enumerate occupation-number states of ``n_modes`` bosonic modes
 restricted to one or more total-photon sectors.  Ordering is deterministic:
 sectors ascending, occupations lexicographic within each sector.  Everything
 here is immutable after construction and safe to share across threads.
+
+Operators that move photons between modes are built on one kernel: edit a
+copy of the cached, read-only (dim, n_modes) occupations array, then map
+the edited rows back to basis indices with ``FockBasis.rank``.  A row's
+rank is its sector's offset plus its lexicographic position inside the
+sector, which the combinatorial number system gives in closed form
+(Streltsov, Alon & Cederbaum, PRA 81, 022124 (2010)):
+
+    position = sum_p C(r_p + m_p, m_p) - C(r_{p+1} + m_p, m_p)
+
+with r_p the photons in modes p..n-1 and m_p = n - 1 - p.
 """
 
 from __future__ import annotations
@@ -60,7 +71,23 @@ class FockBasis:
     n_modes: int
     sectors: tuple
     states: tuple
-    index: dict = field(repr=False)
+    index: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.index = {occ: i for i, occ in enumerate(self.states)}
+        self._occ = np.array(self.states, dtype=int)
+        self._occ.flags.writeable = False
+        # rank tables: _binom[r, m] = C(r + m, m), and _offsets[k] = the
+        # first index of sector k (states are sorted by total)
+        self._binom = np.array(
+            [[math.comb(r + m, m) for m in range(self.n_modes)]
+             for r in range(max(self.sectors) + 1)],
+            dtype=np.int64,
+        )
+        self._offsets = np.zeros(max(self.sectors) + 1, dtype=np.int64)
+        self._offsets[list(self.sectors)] = np.searchsorted(
+            self.totals(), self.sectors
+        )
 
     @property
     def dim(self) -> int:
@@ -70,21 +97,37 @@ class FockBasis:
         """Contiguous index range of the k-photon sector."""
         if k not in self.sectors:
             raise KeyError(f"sector {k} not in basis")
-        start = 0
-        for s in self.sectors:
-            d = sector_dimension(self.n_modes, s)
-            if s == k:
-                return slice(start, start + d)
-            start += d
-        raise KeyError(k)  # unreachable
+        start = int(self._offsets[k])
+        return slice(start, start + sector_dimension(self.n_modes, k))
 
     def totals(self) -> np.ndarray:
         """Total photon number of each basis state."""
-        return np.array([sum(s) for s in self.states], dtype=int)
+        return self._occ.sum(axis=1)
 
     def occupations(self) -> np.ndarray:
-        """(dim, n_modes) integer array of all occupation vectors."""
-        return np.array(self.states, dtype=int)
+        """(dim, n_modes) integer array of all occupation vectors, built once
+        and read-only."""
+        return self._occ
+
+    def rank(self, occ_rows) -> np.ndarray:
+        """Basis index of each occupation row, -1 where the row is not a
+        basis state (a negative entry, or a total outside the sectors)."""
+        occ = np.asarray(occ_rows, dtype=np.int64)
+        if occ.ndim != 2 or occ.shape[1] != self.n_modes:
+            raise ValueError(
+                f"need rows of {self.n_modes} occupations, got {occ.shape}"
+            )
+        totals = occ.sum(axis=1)
+        ok = np.all(occ >= 0, axis=1) & np.isin(totals, self.sectors)
+        occ = np.where(ok[:, None], occ, 0)
+        left = np.where(ok, totals, 0)      # r_p: photons in modes p..n-1
+        pos = self._offsets[left]
+        for p in range(self.n_modes):
+            m = self.n_modes - 1 - p
+            after = left - occ[:, p]
+            pos += self._binom[left, m] - self._binom[after, m]
+            left = after
+        return np.where(ok, pos, -1)
 
 
 def enumerate_basis(n_modes: int, sectors) -> FockBasis:
@@ -103,9 +146,7 @@ def enumerate_basis(n_modes: int, sectors) -> FockBasis:
     states = []
     for k in sectors:
         states.extend(_compositions(n_modes, k))
-    states = tuple(states)
-    index = {occ: i for i, occ in enumerate(states)}
-    return FockBasis(n_modes=n_modes, sectors=sectors, states=states, index=index)
+    return FockBasis(n_modes=n_modes, sectors=sectors, states=tuple(states))
 
 
 @dataclass
@@ -158,9 +199,6 @@ class SectorOperator:
     def to_dense(self) -> np.ndarray:
         return self.entries.toarray()
 
-    def dagger(self) -> "SectorOperator":
-        return SectorOperator(self.basis, self.entries.conj().T.tocsr())
-
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         d = self.entries - self.entries.conj().T
         return abs(d).max() <= tol if d.nnz else True
@@ -190,28 +228,18 @@ def ladder_operator(basis: FockBasis, mode: int, kind: str) -> SectorOperator:
         raise ValueError(f"mode {mode} out of range for {basis.n_modes} modes")
     if kind not in ("create", "annihilate", "number"):
         raise ValueError(f"unknown ladder kind {kind!r}")
-    rows, cols, vals = [], [], []
-    for j, occ in enumerate(basis.states):
-        n = occ[mode]
-        if kind == "number":
-            if n:
-                rows.append(j)
-                cols.append(j)
-                vals.append(float(n))
-            continue
-        if kind == "create":
-            target = occ[:mode] + (n + 1,) + occ[mode + 1:]
-            amp = math.sqrt(n + 1)
-        else:
-            if n == 0:
-                continue
-            target = occ[:mode] + (n - 1,) + occ[mode + 1:]
-            amp = math.sqrt(n)
-        i = basis.index.get(target)
-        if i is not None:
-            rows.append(i)
-            cols.append(j)
-            vals.append(amp)
+    n = basis.occupations()[:, mode]
+    if kind == "number":
+        cols = np.flatnonzero(n)
+        rows, vals = cols, n[cols].astype(float)
+    else:
+        create = kind == "create"
+        target = basis.occupations().copy()
+        target[:, mode] += 1 if create else -1
+        rows = basis.rank(target)
+        cols = np.flatnonzero(rows >= 0)
+        rows = rows[cols]
+        vals = np.sqrt(n[cols] + create)     # sqrt(n + 1) up, sqrt(n) down
     mat = sp.csr_matrix(
         (vals, (rows, cols)), shape=(basis.dim, basis.dim), dtype=complex
     )

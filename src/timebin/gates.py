@@ -78,23 +78,21 @@ def extend_phase_table(table, n_max: int) -> np.ndarray:
     return out
 
 
-def _two_mode_bs_blocks(theta: float, phi: float, s_max: int):
+def _two_mode_bs_blocks(theta: float, phi: float, s_max: int) -> np.ndarray:
     """Beamsplitter unitaries restricted to fixed n_i + n_j = s, s = 0..s_max.
 
-    Block s is (s+1)x(s+1) in the basis n_i = 0..s (n_j = s - n_i); built by
-    eigendecomposition of the Hermitian generator, so every block is unitary
-    to machine precision for any sector.
+    blocks[s, a, b] = <n_i = a, n_j = s - a| U |n_i = b, n_j = s - b>, zero
+    for a or b above s.  Each block is built by eigendecomposition of the
+    Hermitian generator, so it is unitary to machine precision for any
+    sector.
     """
-    blocks = []
+    blocks = np.zeros((s_max + 1,) * 3, dtype=complex)
     for s in range(s_max + 1):
-        g = np.zeros((s + 1, s + 1), dtype=complex)
-        for ni in range(1, s + 1):
-            # <n_i - 1, n_j + 1| b_i b_j^dag |n_i, n_j> = sqrt(n_i (n_j + 1))
-            amp = theta * np.exp(1j * phi) * np.sqrt(ni * (s - ni + 1))
-            g[ni - 1, ni] = amp
-            g[ni, ni - 1] = np.conj(amp)
-        w, v = np.linalg.eigh(g)
-        blocks.append((v * np.exp(-1j * w)) @ v.conj().T)
+        ni = np.arange(1, s + 1)
+        # <n_i - 1, n_j + 1| b_i b_j^dag |n_i, n_j> = sqrt(n_i (n_j + 1))
+        amp = theta * np.exp(1j * phi) * np.sqrt(ni * (s - ni + 1))
+        w, v = np.linalg.eigh(np.diag(amp, 1) + np.diag(amp.conj(), -1))
+        blocks[s, : s + 1, : s + 1] = (v * np.exp(-1j * w)) @ v.conj().T
     return blocks
 
 
@@ -113,23 +111,17 @@ def beamsplitter_gate(
         raise ValueError("mode index out of range")
     s_max = max(basis.sectors)
     blocks = _two_mode_bs_blocks(theta, phi, s_max)
-    rows, cols, vals = [], [], []
-    for col, occ in enumerate(basis.states):
-        ni, nj = occ[i], occ[j]
-        s = ni + nj
-        block = blocks[s]
-        for ni_out in range(s + 1):
-            amp = block[ni_out, ni]
-            if amp == 0.0:
-                continue
-            target = list(occ)
-            target[i] = ni_out
-            target[j] = s - ni_out
-            rows.append(basis.index[tuple(target)])
-            cols.append(col)
-            vals.append(amp)
+    occ = basis.occupations()
+    s = occ[:, i] + occ[:, j]
+    # amps[col, a]: amplitude from column col to n_i = a, zero above s
+    amps = blocks[s[:, None], np.arange(s_max + 1), occ[:, i, None]]
+    cols, ni_out = np.nonzero(amps)
+    target = occ[cols]
+    target[:, i] = ni_out
+    target[:, j] = s[cols] - ni_out
     mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(basis.dim, basis.dim), dtype=complex
+        (amps[cols, ni_out], (basis.rank(target), cols)),
+        shape=(basis.dim, basis.dim), dtype=complex,
     )
     return SectorOperator(basis, mat)
 

@@ -15,21 +15,21 @@ requires integer total flux phi_plaq * N_x * N_y.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fock import FockBasis, SectorOperator
-from .gates import GateDescriptor
+from .gates import GateDescriptor, gate_matrix
 
 __all__ = [
     "LatticeModel",
-    "TrotterPlan",
     "build_bose_hubbard",
     "build_fqh",
     "edge_coloring",
     "trotter_step_sequence",
+    "step_operator",
     "exact_hamiltonian",
     "onsite_phase_table",
     "plaquette_flux",
@@ -65,15 +65,6 @@ class LatticeModel:
             if (a, b) == (dst, src):
                 return -cmath.phase(-w / self.J)
         raise KeyError(f"no edge between {src} and {dst}")
-
-
-@dataclass
-class TrotterPlan:
-    """Commuting edge groups and the on-site phase table for one step."""
-
-    delta_t: float
-    groups: tuple           # tuple of tuples of edge indices
-    onsite_phase_table: np.ndarray = field(default=None)
 
 
 def build_bose_hubbard(
@@ -198,14 +189,15 @@ def onsite_phase_table(U: float, delta_t: float, n_max: int) -> np.ndarray:
 
 
 def trotter_step_sequence(
-    model: LatticeModel, delta_t: float, n_max: int = 8
+    model: LatticeModel, delta_t: float, n_max: int
 ) -> list:
     """Gate descriptors of one first-order Trotter step.
 
     Beamsplitters group by group in coloring order, then number-phase gates
-    on every site.  n_max bounds the exact quadratic phase table; photon
-    counts beyond it fall back to the (incorrect for quadratic f) linear
-    extrapolation, so pick n_max at least the largest sector in play.
+    on every site.  n_max is required: it bounds the exact quadratic phase
+    table, and photon counts beyond it fall back to the (incorrect for
+    quadratic f) linear extrapolation, so pass at least the largest sector
+    in play.  step_operator takes it from the basis.
     """
     groups = edge_coloring(model)
     seq = []
@@ -225,25 +217,29 @@ def trotter_step_sequence(
     return seq
 
 
+def step_operator(model: LatticeModel, delta_t: float,
+                  basis: FockBasis) -> np.ndarray:
+    """Dense product of the gates of one Trotter step on the basis, with
+    the exact on-site phase table up to the basis's largest sector."""
+    u = np.eye(basis.dim, dtype=complex)
+    for desc in trotter_step_sequence(model, delta_t, n_max=max(basis.sectors)):
+        u = gate_matrix(desc, basis).entries @ u
+    return u
+
+
 def _hop_matrix(basis: FockBasis, src: int, dst: int) -> sp.csr_matrix:
     """Number-conserving  b_dst^dag b_src  built directly on the basis
     (products of sector-restricted ladder operators would vanish when the
     intermediate sector is not represented)."""
-    rows, cols, vals = [], [], []
-    for col, occ in enumerate(basis.states):
-        n_src = occ[src]
-        if n_src == 0:
-            continue
-        target = list(occ)
-        target[src] -= 1
-        target[dst] += 1
-        row = basis.index.get(tuple(target))
-        if row is not None:
-            rows.append(row)
-            cols.append(col)
-            vals.append(np.sqrt(n_src * (occ[dst] + 1)))
+    occ = basis.occupations()
+    target = occ.copy()
+    target[:, src] -= 1
+    target[:, dst] += 1
+    rows = basis.rank(target)
+    cols = np.flatnonzero(rows >= 0)
+    vals = np.sqrt(occ[cols, src] * (occ[cols, dst] + 1))
     return sp.csr_matrix(
-        (vals, (rows, cols)), shape=(basis.dim, basis.dim), dtype=complex
+        (vals, (rows[cols], cols)), shape=(basis.dim, basis.dim), dtype=complex
     )
 
 

@@ -25,10 +25,11 @@ every 2D beamsplitter event is emitted in gated form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fock import FockBasis, SectorOperator
 from .gates import beamsplitter_gate, number_phase_gate
@@ -331,13 +332,7 @@ def simulate_schedule(layout: TimeBinLayout, events, basis: FockBasis):
                 firings.append((sa, sb, t, theta, phi))
         else:
             raise ScheduleError(f"unknown event kind {ev.kind!r}")
-    return SectorOperator(basis, _tocsr(u)), firings
-
-
-def _tocsr(dense):
-    import scipy.sparse as sp
-
-    return sp.csr_matrix(dense)
+    return SectorOperator(basis, sp.csr_matrix(u)), firings
 
 
 def certify_equivalence(schedule_unitary: np.ndarray,

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fock import FockBasis, StateVector, enumerate_basis
-from .gates import gate_matrix
-from .lattice import LatticeModel, trotter_step_sequence
+from .fock import FockBasis, enumerate_basis
+from .lattice import LatticeModel, step_operator
 
 __all__ = [
     "SpectralResult",
@@ -75,12 +74,7 @@ class AnalyticGroundState:
 def step_unitary(model: LatticeModel, delta_t: float, sector: int) -> np.ndarray:
     """Dense product of all gates of one Trotter step, restricted to the
     given photon sector."""
-    basis = enumerate_basis(model.n_sites, {sector})
-    seq = trotter_step_sequence(model, delta_t, n_max=max(sector, 1))
-    u = np.eye(basis.dim, dtype=complex)
-    for desc in seq:
-        u = gate_matrix(desc, basis).entries @ u
-    return u
+    return step_operator(model, delta_t, enumerate_basis(model.n_sites, {sector}))
 
 
 def effective_energies(

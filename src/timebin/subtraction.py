@@ -119,13 +119,6 @@ class SubtractionDerived:
     theta_tilde: np.ndarray
     w_tilde: np.ndarray
 
-    def g(self) -> np.ndarray:
-        """Virtual-cavity coupling u / sqrt(G), zero where G has drained."""
-        out = np.zeros_like(self.u)
-        ok = self.G > 1e-14
-        out[ok] = self.u[ok] / np.sqrt(self.G[ok])
-        return out
-
     def ode_residual(self) -> float:
         """Max defect of the integrated ODE
         u~(t) = 2 gamma int_0^t (u - u~), which sidesteps the finite-

@@ -16,12 +16,11 @@ from timebin.experiments import (
     two_photon_correlator,
 )
 from timebin.fock import enumerate_basis, product_fock_state
-from timebin.gates import gate_matrix
 from timebin.lattice import (
     build_bose_hubbard,
     build_fqh,
     exact_hamiltonian,
-    trotter_step_sequence,
+    step_operator,
 )
 from timebin.schedule import (
     certify_equivalence,
@@ -222,9 +221,7 @@ def test_criterion_7_fermionization_quench(tmp_path):
     # free-boson prediction elementwise at every step
     model = build_bose_hubbard(8, 1.0, 0.0, boundary="periodic")
     basis = enumerate_basis(8, {2})
-    step = np.eye(basis.dim, dtype=complex)
-    for d in trotter_step_sequence(model, 0.2, n_max=2):
-        step = gate_matrix(d, basis).entries @ step
+    step = step_operator(model, 0.2, basis)
     init = [0] * 8
     init[3] = init[4] = 1
     psi = product_fock_state(basis, init).amplitudes
@@ -274,9 +271,7 @@ def test_criterion_9_schedule_certification():
     for n in (4, 6, 8):
         model = build_bose_hubbard(n, 1.0, 0.0, boundary="periodic")
         basis = enumerate_basis(n, {1})
-        abstract = np.eye(basis.dim, dtype=complex)
-        for d in trotter_step_sequence(model, 0.2, n_max=1):
-            abstract = gate_matrix(d, basis).entries @ abstract
+        abstract = step_operator(model, 0.2, basis)
         for variant in ("even_simple", "general"):
             layout, events = compile_1d(n, 1, 0.2, variant=variant)
             op, _ = simulate_schedule(layout, events, basis)
@@ -290,9 +285,7 @@ def test_criterion_9_schedule_certification():
     phases = {(a, b): cmath.phase(w) for a, b, w in model.edges}
     layout, events = compile_2d(4, 4, 1, 3, 0.25, phases=phases)
     basis = enumerate_basis(16, {1})
-    abstract = np.eye(basis.dim, dtype=complex)
-    for d in trotter_step_sequence(model, 0.25, n_max=1):
-        abstract = gate_matrix(d, basis).entries @ abstract
+    abstract = step_operator(model, 0.25, basis)
     op, _ = simulate_schedule(layout, events, basis)
     equal, dist, _ = certify_equivalence(op.to_dense(), abstract)
     assert equal and dist < 1e-10
@@ -303,9 +296,7 @@ def test_criterion_9_schedule_certification():
     broken = [e for i, e in enumerate(events) if i != 4]
     model8 = build_bose_hubbard(8, 1.0, 0.0, boundary="periodic")
     basis8 = enumerate_basis(8, {1})
-    abstract8 = np.eye(basis8.dim, dtype=complex)
-    for d in trotter_step_sequence(model8, 0.2, n_max=1):
-        abstract8 = gate_matrix(d, basis8).entries @ abstract8
+    abstract8 = step_operator(model8, 0.2, basis8)
     op, _ = simulate_schedule(layout, broken, basis8)
     equal, dist, _ = certify_equivalence(op.to_dense(), abstract8)
     assert not equal and dist > 0.1
@@ -330,9 +321,7 @@ def test_criterion_10_trotter_error_scaling():
         errs = []
         for dt in dts:
             exact = (v * np.exp(-1j * w * dt)) @ v.conj().T
-            u = np.eye(basis.dim, dtype=complex)
-            for d in trotter_step_sequence(model, dt, n_max=2):
-                u = gate_matrix(d, basis).entries @ u
+            u = step_operator(model, dt, basis)
             errs.append(np.linalg.norm(u - exact, 2))
         for e0, e1 in zip(errs, errs[1:]):
             assert e0 / e1 == pytest.approx(4.0, rel=0.2), name

@@ -1,0 +1,35 @@
+"""The command-line contract: a square compile runs from the defaults, and
+a config the model cannot take exits 1 with an error line before any work."""
+
+import json
+
+import pytest
+
+from timebin import cli
+
+
+def test_compile_square_geometry(tmp_path):
+    out = tmp_path / "square"
+    assert cli.main(["compile", "--set", "geometry=square", "--out", str(out)]) == 0
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["equal"] and cert["distance"] < 1e-10
+    # a null l_y is the pitch N_x // 2 + 1
+    explicit = tmp_path / "explicit"
+    argv = ["compile", "--set", "geometry=square", "--set", "l_y=5"]
+    assert cli.main(argv + ["--out", str(explicit)]) == 0
+    assert ((out / "schedule.txt").read_bytes()
+            == (explicit / "schedule.txt").read_bytes())
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--set", "phi_plaq=0.3"],
+    ["incoherent", "--set", "n_max=1"],
+])
+def test_model_errors_exit_one(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.exists()

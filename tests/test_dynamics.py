@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from timebin import dynamics
 from timebin.fock import DensityMatrix, enumerate_basis, product_fock_state
-from timebin.lattice import build_fqh
+from timebin.lattice import build_fqh, step_operator
 from timebin.spectral import effective_energies, step_unitary
 from timebin.dynamics import (
     CirculationChannel,
@@ -12,8 +13,6 @@ from timebin.dynamics import (
     IncoherentProtocol,
     drive_diss_channel,
     fixed_point,
-    full_circulation_channel,
-    incoherent_protocol_step,
     steady_state_observables,
 )
 
@@ -175,11 +174,19 @@ def test_zero_params_is_pure_hamiltonian_step(small_model, small_basis):
     assert np.max(np.abs(ch(rho) - expected)) < 1e-12
 
 
-def test_full_circulation_channel_function(small_model, small_basis):
-    p = DriveDissParams.from_circuit(0.1, 0.01, -2.0, 0.25)
-    rho = DensityMatrix(small_basis, random_density(small_basis.dim, 9))
-    out = full_circulation_channel(rho, small_model, 0.25, p)
-    assert out.trace() == pytest.approx(1.0, abs=1e-9)
+def test_per_kraus_path_matches_fused(monkeypatch):
+    # the 2x4 basis (dim 45) is fused by default; a zero limit forces the
+    # per-Kraus path that larger bases take
+    model = build_fqh(2, 4, 1.0, 10.0, 0.25)
+    basis = enumerate_basis(8, range(3))
+    p = DriveDissParams.from_circuit(0.1, 0.01, -2.5, 0.25)
+    fused = CirculationChannel(model, 0.25, p, n_max=2, basis=basis)
+    monkeypatch.setattr(dynamics, "SUPER_DIM_LIMIT", 0)
+    per_kraus = CirculationChannel(model, 0.25, p, n_max=2, basis=basis)
+    assert fused._supers is not None and per_kraus._supers is None
+    for seed in range(2):
+        rho = random_density(basis.dim, seed)
+        assert np.max(np.abs(per_kraus(rho) - fused(rho))) < 1e-15
 
 
 def test_drive_phase_factors_out_of_the_channel():
@@ -330,29 +337,34 @@ def test_protocol_populations_stay_normalized(small_protocol):
 
 
 def test_incoherent_step_unitary_limit(small_model):
-    # chi = 0, p_ref = 0: the system evolves unitarily, ancillas untouched
-    basis = enumerate_basis(4, range(4))
+    # chi = 0, p_ref = 0: the system evolves unitarily.  The protocol's
+    # sector eigenbases diagonalize the step on sectors 0..3 with the phases
+    # it assigns, and a step moves no population and leaves the ancillas
     prot = IncoherentProtocol(small_model, 0.25, chi=0.0, p_ref=0.0, n_max=3)
-    rho = DensityMatrix(basis, random_density(basis.dim, 21))
-    out = incoherent_protocol_step(rho, small_model, 0.25, prot.params,
-                                   protocol=prot)
-    import scipy.sparse as sp
-    from timebin.gates import gate_matrix
-    from timebin.lattice import trotter_step_sequence
-
-    u = sp.identity(basis.dim, dtype=complex, format="csr")
-    for d in trotter_step_sequence(small_model, 0.25, n_max=3):
-        u = gate_matrix(d, basis).entries @ u
-    u = np.asarray(u.todense())
-    expected = u @ rho.matrix @ u.conj().T
-    assert np.max(np.abs(out.matrix - expected)) < 1e-9
+    basis = enumerate_basis(4, range(4))
+    u = step_operator(small_model, 0.25, basis)
+    for k, sec in enumerate(prot.sectors):
+        sl = basis.sector_slice(k)
+        v = sec.vectors
+        assert np.max(np.abs(u[sl, sl] @ v - v * np.exp(1j * sec.thetas))) < 1e-9
+    rng = np.random.default_rng(21)
+    prot.populations = [rng.random(b.dim) for b in prot.bases]
+    before = [x.copy() for x in prot.populations]
+    prot.step()
+    for x, y in zip(prot.populations, before):
+        assert np.array_equal(x, y)
     assert np.max(np.abs(prot.ancilla - np.array([0.0, 1.0, 0.0]))) < 1e-12
 
 
-def test_incoherent_step_preserves_trace(small_model, small_protocol):
-    basis = enumerate_basis(4, range(4))
-    rho = DensityMatrix(basis, random_density(basis.dim, 22))
-    out = incoherent_protocol_step(rho, small_model, 0.25,
-                                   small_protocol.params,
-                                   protocol=small_protocol)
-    assert out.trace() == pytest.approx(1.0, abs=1e-9)
+def test_incoherent_step_preserves_trace(small_protocol):
+    # a random population over every sector keeps its unit total
+    prot = small_protocol
+    prot.reset("vacuum")
+    rng = np.random.default_rng(22)
+    pops = [rng.random(b.dim) for b in prot.bases]
+    total = sum(float(x.sum()) for x in pops)
+    prot.populations = [x / total for x in pops]
+    prot.step()
+    assert sum(float(x.sum()) for x in prot.populations) == pytest.approx(
+        1.0, abs=1e-12
+    )

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from timebin.fock import (
     DensityMatrix,
@@ -44,6 +45,34 @@ def test_index_roundtrip():
     b = enumerate_basis(3, {0, 1, 2, 3})
     for i, occ in enumerate(b.states):
         assert b.index[occ] == i
+
+
+small_bases = st.builds(
+    enumerate_basis, st.integers(1, 5), st.sets(st.integers(0, 4), min_size=1)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_bases)
+def test_rank_inverts_enumeration(b):
+    occ = b.occupations()
+    assert not occ.flags.writeable
+    assert np.array_equal(b.rank(occ), np.arange(b.dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_bases, st.data())
+def test_rank_of_arbitrary_rows(b, data):
+    # rows with a negative entry or a total outside the sectors rank to -1;
+    # every other row ranks to its index in the dict lookup
+    row = st.lists(st.integers(-2, 5), min_size=b.n_modes, max_size=b.n_modes)
+    rows = np.array(data.draw(st.lists(row, min_size=1, max_size=20)))
+    got = b.rank(rows)
+    for r, i in zip(rows, got):
+        if min(r) < 0 or sum(r) not in b.sectors:
+            assert i == -1
+        else:
+            assert i == b.index[tuple(int(n) for n in r)]
 
 
 def test_rejects_bad_arguments():

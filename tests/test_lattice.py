@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from timebin.fock import enumerate_basis
-from timebin.gates import gate_matrix
 from timebin.lattice import (
     build_bose_hubbard,
     build_fqh,
@@ -12,15 +11,10 @@ from timebin.lattice import (
     exact_hamiltonian,
     onsite_phase_table,
     plaquette_flux,
+    step_operator,
     trotter_step_sequence,
 )
-
-
-def step_matrix(model, delta_t, basis):
-    u = np.eye(basis.dim, dtype=complex)
-    for d in trotter_step_sequence(model, delta_t, n_max=max(basis.sectors)):
-        u = gate_matrix(d, basis).entries @ u
-    return u
+from timebin.spectral import step_unitary
 
 
 def test_bose_hubbard_edges():
@@ -103,13 +97,13 @@ def test_group_generators_sum_to_hopping_hamiltonian():
 
 def test_sequence_structure():
     m = build_bose_hubbard(8, 1.0, 0.0, boundary="periodic")
-    seq = trotter_step_sequence(m, 0.2)
+    seq = trotter_step_sequence(m, 0.2, n_max=2)
     kinds = [d.kind for d in seq]
     assert kinds.count("beamsplitter") == 8
     assert kinds.count("number_phase") == 0  # U = 0 emits no phase gates
 
     mU = build_bose_hubbard(8, 1.0, 10.0, boundary="periodic")
-    seqU = trotter_step_sequence(mU, 0.2)
+    seqU = trotter_step_sequence(mU, 0.2, n_max=2)
     kindsU = [d.kind for d in seqU]
     assert kindsU[:8] == ["beamsplitter"] * 8
     assert kindsU[8:] == ["number_phase"] * 8
@@ -125,10 +119,23 @@ def test_onsite_phase_table():
 def test_step_commutes_with_total_number():
     m = build_bose_hubbard(4, 1.0, 3.0, boundary="periodic")
     b = enumerate_basis(4, {0, 1, 2})
-    u = step_matrix(m, 0.3, b)
+    u = step_operator(m, 0.3, b)
     n_tot = np.diag(b.totals().astype(float))
     assert np.max(np.abs(u @ n_tot - n_tot @ u)) < 1e-10
     assert np.max(np.abs(u.conj().T @ u - np.eye(b.dim))) < 1e-10
+
+
+def test_step_operator_is_block_diagonal_over_sectors():
+    # the on-site phase table must reach the basis's top sector: a table cut
+    # at n = 2 would extrapolate the sector-3 phase linearly
+    m = build_bose_hubbard(4, 1.0, 10.0, boundary="periodic")
+    b = enumerate_basis(4, range(4))
+    u = step_operator(m, 0.25, b)
+    want = np.zeros_like(u)
+    for k in range(4):
+        sl = b.sector_slice(k)
+        want[sl, sl] = step_unitary(m, 0.25, k)
+    assert np.array_equal(u, want)
 
 
 def test_exact_hamiltonian_examples():
@@ -181,7 +188,7 @@ def test_trotter_error_first_order(model, dts):
     errs = []
     for dt in dts:
         exact = (v * np.exp(-1j * w * dt)) @ v.conj().T
-        u = step_matrix(model, dt, b)
+        u = step_operator(model, dt, b)
         errs.append(np.linalg.norm(u - exact, 2))
     for e0, e1 in zip(errs, errs[1:]):
         assert e0 / e1 == pytest.approx(4.0, rel=0.2)

@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from timebin.fock import enumerate_basis
-from timebin.gates import gate_matrix, number_phase_gate
-from timebin.lattice import (
-    build_bose_hubbard,
-    build_fqh,
-    trotter_step_sequence,
-)
+from timebin.gates import number_phase_gate
+from timebin.lattice import build_bose_hubbard, build_fqh, step_operator
 from timebin.schedule import (
     ScheduleError,
     ScheduleEvent,
@@ -24,13 +20,6 @@ from timebin.schedule import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def abstract_step(model, dt, basis):
-    u = np.eye(basis.dim, dtype=complex)
-    for d in trotter_step_sequence(model, dt, n_max=max(basis.sectors)):
-        u = gate_matrix(d, basis).entries @ u
-    return u
 
 
 def test_structural_counts_even_simple():
@@ -76,7 +65,7 @@ def test_1d_equivalence(n, variant):
     basis = enumerate_basis(n, {1})
     layout, events = compile_1d(n, 1, dt, variant=variant)
     op, firings = simulate_schedule(layout, events, basis)
-    equal, dist, _ = certify_equivalence(op.to_dense(), abstract_step(model, dt, basis))
+    equal, dist, _ = certify_equivalence(op.to_dense(), step_operator(model, dt, basis))
     assert equal and dist < 1e-10
     fired = sorted(tuple(sorted(f[:2])) for f in firings)
     edges = sorted(tuple(sorted(e[:2])) for e in model.edges)
@@ -111,7 +100,7 @@ def test_2d_equivalence_with_gauge():
     assert all(len(layout.sites_on(w)) == 4 for w in range(4))
     basis = enumerate_basis(16, {1})
     op, firings = simulate_schedule(layout, events, basis)
-    equal, dist, _ = certify_equivalence(op.to_dense(), abstract_step(model, dt, basis))
+    equal, dist, _ = certify_equivalence(op.to_dense(), step_operator(model, dt, basis))
     assert equal and dist < 1e-10
     # every lattice edge fires exactly once
     fired = sorted(tuple(sorted(f[:2])) for f in firings)
@@ -152,7 +141,7 @@ def test_dropped_wrap_link_detected():
     broken = [e for i, e in enumerate(events) if i != 4]
     assert events[4].kind == "bs" and events[4].windows is not None
     op, firings = simulate_schedule(layout, broken, basis)
-    equal, dist, _ = certify_equivalence(op.to_dense(), abstract_step(model, dt, basis))
+    equal, dist, _ = certify_equivalence(op.to_dense(), step_operator(model, dt, basis))
     assert not equal
     assert dist > 0.1
     assert len(firings) == n - 1
