@@ -471,34 +471,32 @@ class IncoherentProtocol:
     # -- rate machinery ----------------------------------------------------
 
     def _build_rates(self):
-        chi, p_ref = self.params.chi, self.params.p_ref
-        s = 1.0 - p_ref
-        eps2 = math.sin(chi * self.delta_t) ** 2
-        # ancilla phase-gate offsets for occupancies 0, 1, 2
-        phi_anc = np.array([0.0, self.params.phi_1, self.params.phi_2])
+        s = 1.0 - self.params.p_ref
+        eps2 = math.sin(self.params.chi * self.delta_t) ** 2
+        # ancilla phase-gate differences of the channels 1 -> 0 and 2 -> 1
+        gate_10 = self.params.phi_1
+        gate_21 = self.params.phi_2 - self.params.phi_1
 
-        def kernel(delta):
+        def kernel(delta):      # eps2 S(Delta)
             if eps2 == 0.0:
                 return np.zeros_like(delta)
             den = 1.0 - 2.0 * s * np.cos(delta) + s * s
-            return (1.0 - s * s) / den
+            return eps2 * (1.0 - s * s) / den
 
-        # per site and sector pair k -> k+1: rate matrices for the ancilla
-        # channels 1 -> 0 (factor 1) and 2 -> 1 (factor 2)
-        self._rates = []
-        for j in range(self.model.n_sites):
-            per_pair = []
-            for k in range(self.n_max):
-                lo, hi = self.sectors[k], self.sectors[k + 1]
-                melem = self._bdag_eigen(j, k)      # (d_hi, d_lo)
-                m2 = np.abs(melem) ** 2
-                dth = hi.thetas[:, None] - lo.thetas[None, :]
-                d10 = dth - (phi_anc[1] - phi_anc[0])
-                d21 = dth - (phi_anc[2] - phi_anc[1])
-                r1 = eps2 * 1.0 * m2 * kernel(d10)
-                r2 = eps2 * 2.0 * m2 * kernel(d21)
-                per_pair.append((r1, r2))
-            self._rates.append(per_pair)
+        # per sector pair k -> k+1: the m2 stack (n_sites, d_hi * d_lo), the
+        # kernels k10, k21 (d_hi, d_lo), and the per-site column sums
+        # (2, n_sites, d_lo) and row sums (2, n_sites, d_hi) of r1_j, r2_j
+        self._pairs = []
+        for k in range(self.n_max):
+            dth = self.sectors[k + 1].thetas[:, None] - self.sectors[k].thetas
+            k10, k21 = kernel(dth - gate_10), 2.0 * kernel(dth - gate_21)
+            m2 = np.stack([np.abs(self._bdag_eigen(j, k)) ** 2
+                           for j in range(self.model.n_sites)])
+            self._pairs.append((
+                m2.reshape(len(m2), -1), k10, k21,
+                np.stack([np.einsum("fi,jfi->ji", kk, m2) for kk in (k10, k21)]),
+                np.stack([np.einsum("fi,jfi->jf", kk, m2) for kk in (k10, k21)]),
+            ))
 
     def _bdag_eigen(self, site: int, k: int) -> np.ndarray:
         """<f, k+1| b_site^dag |i, k> in the step-unitary eigenbases."""
@@ -531,36 +529,41 @@ class IncoherentProtocol:
     def step(self):
         """One circulation: collision transfer flows, then ancilla refresh.
 
-        For each site and sector pair k -> k+1, with rate matrices r1
-        (ancilla 1 <-> 0) and r2 (ancilla 2 <-> 1):
+        For each site j and sector pair k -> k+1, with rate matrices r1_j
+        (ancilla 1 <-> 0), r2_j (ancilla 2 <-> 1) and ancilla occupancies
+        q_j = (q0_j, q1_j, q2_j):
 
             upward   flux[f] = q_src * sum_i r[f, i] p_k[i]
             downward flux[i] = q_src * sum_f r[f, i] p_{k+1}[f]
 
         and the same scalar flux moves the ancilla occupancy distribution.
+
+        The rates factor as r1_j = k10 * m2_j, r2_j = k21 * m2_j, with
+        site-independent kernels k10, k21 and m2_j = |<f| b_j^dag |i>|^2, so
+        the site sum is one product W = q^T m2 over the stacked m2_j,
+        Wn = sum_j qn_j m2_j, and the summed rates A_up = k10 W1 + k21 W2
+        (k -> k+1) and A_dn = k10 W0 + k21 W1 (k+1 -> k) give the in-flows
+        A_up @ p_k and A_dn^T @ p_{k+1}.  The build precomputes the kernels,
+        the m2 stack and the per-site column and row sums of r1_j and r2_j;
+        weighted by q_j, these give the out-flows and the ancilla fluxes.
         """
         p = self.populations
         dp = [np.zeros_like(x) for x in p]
+        q0, q1, q2 = self.ancilla.T
         danc = np.zeros_like(self.ancilla)
-        for j in range(self.model.n_sites):
-            q0, q1, q2 = self.ancilla[j]
-            for k in range(self.n_max):
-                r1, r2 = self._rates[j][k]
-                up1_in = q1 * (r1 @ p[k])           # anc 1->0, sys k->k+1
-                dn1_in = q0 * (r1.T @ p[k + 1])     # anc 0->1, sys k+1->k
-                up2_in = q2 * (r2 @ p[k])           # anc 2->1, sys k->k+1
-                dn2_in = q1 * (r2.T @ p[k + 1])     # anc 1->2, sys k+1->k
-                up1_out = q1 * r1.sum(axis=0) * p[k]
-                dn1_out = q0 * r1.sum(axis=1) * p[k + 1]
-                up2_out = q2 * r2.sum(axis=0) * p[k]
-                dn2_out = q1 * r2.sum(axis=1) * p[k + 1]
-                dp[k + 1] += up1_in + up2_in - dn1_out - dn2_out
-                dp[k] += dn1_in + dn2_in - up1_out - up2_out
-                f_up1, f_dn1 = float(up1_in.sum()), float(dn1_in.sum())
-                f_up2, f_dn2 = float(up2_in.sum()), float(dn2_in.sum())
-                danc[j, 0] += f_up1 - f_dn1
-                danc[j, 1] += f_dn1 - f_up1 + f_up2 - f_dn2
-                danc[j, 2] += f_dn2 - f_up2
+        for k, (m2, k10, k21, cols, rows) in enumerate(self._pairs):
+            lo, hi = p[k], p[k + 1]
+            w0, w1, w2 = (self.ancilla.T @ m2).reshape(3, *k10.shape)
+            a_up = k10 * w1 + k21 * w2
+            a_dn = k10 * w0 + k21 * w1
+            dp[k + 1] += a_up @ lo - (q0 @ rows[0] + q1 @ rows[1]) * hi
+            dp[k] += a_dn.T @ hi - (q1 @ cols[0] + q2 @ cols[1]) * lo
+            # ancilla fluxes 1 -> 0, 2 -> 1 (up) and 0 -> 1, 1 -> 2 (down)
+            f_up1, f_up2 = q1 * (cols[0] @ lo), q2 * (cols[1] @ lo)
+            f_dn1, f_dn2 = q0 * (rows[0] @ hi), q1 * (rows[1] @ hi)
+            danc[:, 0] += f_up1 - f_dn1
+            danc[:, 1] += f_dn1 - f_up1 + f_up2 - f_dn2
+            danc[:, 2] += f_dn2 - f_up2
         for k in range(self.n_max + 1):
             self.populations[k] += dp[k]
         self.ancilla += danc

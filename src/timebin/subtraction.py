@@ -26,6 +26,10 @@ follows from u~(t2, t1) = u~(t2) - exp(-2 gamma (t2 - t1)) u~(t1), so its
 squared double integral reduces exactly to one-dimensional quadratures plus
 one backward exponential-kernel integral.  The same reduction applies to the
 two-layer subtraction fidelity.
+
+An estimator derives its inputs with derive_quantities(pulse, gamma) unless
+the caller passes that result as ``derived``.  scipy.integrate and
+scipy.signal are imported where used, to keep them out of ``import timebin``.
 """
 
 from __future__ import annotations
@@ -33,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad, simpson
-from scipy.signal import lfilter
 
 __all__ = [
     "PulseShape",
@@ -79,6 +81,7 @@ class PulseShape:
 
     @classmethod
     def bump(cls, grid_points: int = DEFAULT_GRID_POINTS) -> "PulseShape":
+        from scipy.integrate import quad
         norm2, _ = quad(lambda t: _bump_raw(t) ** 2, 0.0, 1.0, epsabs=1e-14)
         c = 1.0 / np.sqrt(norm2)
         f = lambda t: c * _bump_raw(t)
@@ -87,6 +90,7 @@ class PulseShape:
 
     @classmethod
     def from_samples(cls, name: str, samples) -> "PulseShape":
+        from scipy.integrate import simpson
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 1 or samples.size < 3:
             raise ValueError("need a 1D array of at least 3 samples")
@@ -103,6 +107,7 @@ class PulseShape:
 
     def norm_defect(self) -> float:
         """|1 - int |u|^2| under the composite Simpson rule on the grid."""
+        from scipy.integrate import simpson
         return abs(1.0 - simpson(self.samples**2, x=self.grid))
 
 
@@ -124,6 +129,7 @@ class SubtractionDerived:
         u~(t) = 2 gamma int_0^t (u - u~), which sidesteps the finite-
         difference noise a pointwise derivative check would pick up inside
         the boundary layer."""
+        from scipy.integrate import cumulative_simpson
         rhs = 2.0 * self.gamma * cumulative_simpson(
             self.u - self.u_tilde, x=self.grid, initial=0.0
         )
@@ -137,6 +143,7 @@ def _rk4_filter(a: float, h: float, f_nodes, f_mids, y0: float = 0.0):
     coefficients make the update linear, so the whole march is one IIR
     filter pass.
     """
+    from scipy.signal import lfilter
     q = a * h
     R = 1.0 + q + q**2 / 2.0 + q**3 / 6.0 + q**4 / 24.0
     w0 = (h / 6.0) * (1.0 + q + q**2 / 2.0 + q**3 / 4.0)
@@ -172,6 +179,7 @@ def derive_quantities(pulse: PulseShape, gamma: float) -> SubtractionDerived:
     The three ODE marches run on nested grids (u~ at h/4, Theta~ at h/2,
     w~ at h) so every forcing midpoint is available at full accuracy.
     """
+    from scipy.integrate import cumulative_simpson
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     n = _refined_axis(pulse, gamma)
@@ -200,17 +208,20 @@ def derive_quantities(pulse: PulseShape, gamma: float) -> SubtractionDerived:
     )
 
 
-def p_fail_k1(pulse: PulseShape, gamma: float) -> float:
+def p_fail_k1(pulse: PulseShape, gamma: float,
+              derived: SubtractionDerived = None) -> float:
     """Single-photon subtraction failure probability
     int_0^inf |u - u~|^2, with the [1, inf) tail summed in closed form."""
-    d = derive_quantities(pulse, gamma)
+    from scipy.integrate import simpson
+    d = derived or derive_quantities(pulse, gamma)
     diff = d.u - d.u_tilde
     body = simpson(diff**2, x=d.grid)
     tail = d.u_tilde[-1] ** 2 / (4.0 * gamma)
     return float(body + tail)
 
 
-def p_fail_k2(pulse: PulseShape, gamma: float) -> float:
+def p_fail_k2(pulse: PulseShape, gamma: float,
+              derived: SubtractionDerived = None) -> float:
     """Two-photon subtraction failure probability from the squared
     time-ordered two-photon correlator.
 
@@ -223,7 +234,8 @@ def p_fail_k2(pulse: PulseShape, gamma: float) -> float:
     J(t) = int_t^inf D(t2) e^{-2 gamma (t2 - t)} dt2 integrated backward;
     the integrand vanishes identically for t > 1.
     """
-    d = derive_quantities(pulse, gamma)
+    from scipy.integrate import cumulative_simpson, simpson
+    d = derived or derive_quantities(pulse, gamma)
     grid, u, ut = d.grid, d.u, d.u_tilde
     n = grid.size - 1
     h = 1.0 / n
@@ -253,25 +265,29 @@ def p_fail_k2(pulse: PulseShape, gamma: float) -> float:
     return float(simpson(integrand, x=grid))
 
 
-def f_sub_single(pulse: PulseShape, gamma: float, k: int) -> float:
+def f_sub_single(pulse: PulseShape, gamma: float, k: int,
+                 derived: SubtractionDerived = None) -> float:
     """Single-layer subtraction fidelity  |k int u~ u G^{k-1}|^2."""
+    from scipy.integrate import simpson
     if k < 1:
         raise ValueError("k must be >= 1")
-    d = derive_quantities(pulse, gamma)
+    d = derived or derive_quantities(pulse, gamma)
     val = k * simpson(d.u_tilde * d.u * d.G ** (k - 1), x=d.grid)
     return float(val**2)
 
 
-def f_sub_double(pulse: PulseShape, gamma: float, k: int) -> float:
+def f_sub_double(pulse: PulseShape, gamma: float, k: int,
+                 derived: SubtractionDerived = None) -> float:
     """Two-layer subtraction fidelity.
 
     |k(k-1) intint_{t1<=t2} [u~(t1) u~(t2,t1) + w~(t1) e^{-2g(t2-t1)} / 2]
     u(t1) u(t2) G(t2)^{k-2}|^2, reduced to 1D with the same kernel identity
     as p_fail_k2.
     """
+    from scipy.integrate import cumulative_simpson, simpson
     if k < 2:
         raise ValueError("two-layer fidelity needs k >= 2")
-    d = derive_quantities(pulse, gamma)
+    d = derived or derive_quantities(pulse, gamma)
     grid, u, ut, G, wt = d.grid, d.u, d.u_tilde, d.G, d.w_tilde
     n = grid.size - 1
     h = 1.0 / n

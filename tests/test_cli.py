@@ -24,6 +24,10 @@ def test_compile_square_geometry(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--set", "phi_plaq=0.3"],
     ["incoherent", "--set", "n_max=1"],
+    ["compile", "--set", "geometry=square", "--set", "N_y=3"],
+    ["compile", "--set", "geometry=square", "--set", "N_x=5"],
+    ["compile", "--set", "N_x=7"],
+    ["compile", "--set", "geometry=hexagonal"],
 ])
 def test_model_errors_exit_one(argv, tmp_path, capsys):
     out = tmp_path / "out"

@@ -1,6 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from timebin import dynamics
 from timebin.fock import DensityMatrix, enumerate_basis, product_fock_state
@@ -367,4 +369,106 @@ def test_incoherent_step_preserves_trace(small_protocol):
     prot.step()
     assert sum(float(x.sum()) for x in prot.populations) == pytest.approx(
         1.0, abs=1e-12
+    )
+
+
+def oracle_rates(prot):
+    """The protocol's rate matrices built site by site, as the module
+    docstring states them: rates[k][j] = (r1, r2) for sector pair k -> k+1,
+    r = sin^2(chi dt) c |<f| b_j^dag |i>|^2 S(Delta), with the bosonic factor
+    c = 1 for ancilla 1 <-> 0 (r1) and c = 2 for ancilla 2 <-> 1 (r2)."""
+    par = prot.params
+    s = 1.0 - par.p_ref
+    eps2 = np.sin(par.chi * prot.delta_t) ** 2
+    rates = []
+    for k in range(prot.n_max):
+        dth = prot.sectors[k + 1].thetas[:, None] - prot.sectors[k].thetas
+        s10, s21 = [(1 - s * s) / (1 - 2 * s * np.cos(dth - phi) + s * s)
+                    for phi in (par.phi_1, par.phi_2 - par.phi_1)]
+        m2s = [np.abs(prot._bdag_eigen(j, k)) ** 2
+               for j in range(prot.model.n_sites)]
+        rates.append([(eps2 * m2 * s10, 2 * eps2 * m2 * s21) for m2 in m2s])
+    return rates
+
+
+def oracle_step(prot, rates, populations, ancilla):
+    """One circulation as a loop over sites and sector pairs, each flow a
+    matrix-vector product with one site's rate matrix."""
+    p = populations
+    dp = [np.zeros_like(x) for x in p]
+    danc = np.zeros_like(ancilla)
+    for k, per_site in enumerate(rates):
+        for j, (r1, r2) in enumerate(per_site):
+            q0, q1, q2 = ancilla[j]
+            up1, up2 = q1 * (r1 @ p[k]), q2 * (r2 @ p[k])
+            dn1, dn2 = q0 * (r1.T @ p[k + 1]), q1 * (r2.T @ p[k + 1])
+            dp[k + 1] += up1 + up2 - (q0 * r1.sum(1) + q1 * r2.sum(1)) * p[k + 1]
+            dp[k] += dn1 + dn2 - (q1 * r1.sum(0) + q2 * r2.sum(0)) * p[k]
+            f_up1, f_dn1, f_up2, f_dn2 = up1.sum(), dn1.sum(), up2.sum(), dn2.sum()
+            danc[j] += [f_up1 - f_dn1, f_dn1 - f_up1 + f_up2 - f_dn2,
+                        f_dn2 - f_up2]
+    p_ref = prot.params.p_ref
+    anc = (1 - p_ref) * (ancilla + danc)
+    anc[:, 1] += p_ref
+    return [x + d for x, d in zip(p, dp)], anc
+
+
+@pytest.mark.parametrize("init", ["vacuum", "ground"])
+def test_incoherent_step_matches_site_loop_oracle(init):
+    # the factored step against the per-site loop on the 2x4 torus (8 sites,
+    # sector dims 1/8/36/120), every step of a 1,000-step run
+    model = build_fqh(2, 4, 1.0, 10.0, 0.25)
+    prot = IncoherentProtocol(model, 0.25, chi=0.048, p_ref=0.01, n_max=3)
+    rates = oracle_rates(prot)
+    prot.reset(init)
+    pops = [x.copy() for x in prot.populations]
+    anc = prot.ancilla.copy()
+    worst = 0.0
+    for _ in range(1000):
+        prot.step()
+        pops, anc = oracle_step(prot, rates, pops, anc)
+        worst = max(worst, np.max(np.abs(prot.ancilla - anc)),
+                    *(np.max(np.abs(x - y))
+                      for x, y in zip(prot.populations, pops)))
+    assert worst < 1e-12
+    # the run moved population, so the comparison is not between zeros
+    assert prot.observables()["P2"] > 0.01
+
+
+@pytest.fixture(scope="module")
+def small_oracle_rates(small_protocol):
+    return oracle_rates(small_protocol)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    hnp.arrays(float, 1 + 4 + 10 + 20, elements=st.floats(0.0, 1.0)),
+    hnp.arrays(float, (4, 3), elements=st.floats(0.0, 1.0)),
+)
+def test_incoherent_step_random_states(small_protocol, small_oracle_rates,
+                                       pop_draws, anc_draws):
+    # one step from a random population over sectors 0..3 of the 2x2 torus
+    # and random per-site ancilla distributions matches the oracle, and the
+    # transfer flows conserve system + ancilla photons
+    prot = small_protocol
+    assume(pop_draws.sum() > 1e-3 and np.all(anc_draws.sum(axis=1) > 1e-3))
+    pops = np.split(pop_draws / pop_draws.sum(),
+                    np.cumsum([b.dim for b in prot.bases])[:-1])
+    anc = anc_draws / anc_draws.sum(axis=1, keepdims=True)
+    prot.populations = [x.copy() for x in pops]
+    prot.ancilla = anc.copy()
+    prot.step()
+    want_pops, want_anc = oracle_step(prot, small_oracle_rates, pops, anc)
+    for x, y in zip(prot.populations, want_pops):
+        assert np.max(np.abs(x - y)) < 1e-13
+    assert np.max(np.abs(prot.ancilla - want_anc)) < 1e-13
+
+    def photons(populations, ancilla):
+        n_sys = sum(k * float(x.sum()) for k, x in enumerate(populations))
+        return n_sys + float(np.sum(ancilla @ [0.0, 1.0, 2.0]))
+
+    p_ref = prot.params.p_ref
+    flowed = (prot.ancilla - p_ref * np.array([0.0, 1.0, 0.0])) / (1 - p_ref)
+    assert photons(prot.populations, flowed) == pytest.approx(
+        photons(pops, anc), abs=1e-13
     )

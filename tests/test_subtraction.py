@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from timebin import experiments, subtraction
 from timebin.subtraction import (
     PulseShape,
     closed_form_infidelity_square,
@@ -177,3 +183,45 @@ def test_lipschitz_threshold_controls_p_fail(bump):
         assert p_fail_k1(bump, g) < 4 * eps
     with pytest.raises(ValueError):
         lipschitz_gamma_threshold(bump, 0.5)
+
+
+def test_estimators_take_a_shared_derivation(square, bump):
+    # passing derive_quantities' result gives the same bits as deriving
+    for pulse in (square, bump):
+        d = derive_quantities(pulse, 316.0)
+        assert p_fail_k1(pulse, 316.0, d) == p_fail_k1(pulse, 316.0)
+        assert p_fail_k2(pulse, 316.0, d) == p_fail_k2(pulse, 316.0)
+        for k in (1, 2, 3):
+            assert f_sub_single(pulse, 316.0, k, d) == f_sub_single(pulse, 316.0, k)
+        for k in (2, 3):
+            assert f_sub_double(pulse, 316.0, k, d) == f_sub_double(pulse, 316.0, k)
+
+
+def test_run_subtraction_derives_once_per_pulse_and_gamma(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(pulse, gamma):
+        calls.append((pulse.name, gamma))
+        return derive_quantities(pulse, gamma)
+
+    monkeypatch.setattr(experiments, "derive_quantities", counted)
+    monkeypatch.setattr(subtraction, "derive_quantities", counted)
+    cfg = {"pulses": ["square", "bump"], "k_list": [1, 2, 3],
+           "gamma_grid": [50.0, 4000.0], "grid_points": 257}
+    summary = experiments.run_subtraction(cfg, str(tmp_path))
+    # the summary's gamma = 4000 square values reuse that row's derivation
+    assert sorted(calls) == sorted(
+        (p, g) for p in ("square", "bump") for g in (50.0, 4000.0))
+    sq = PulseShape.square(257)
+    assert summary["p_fail_k2"] == p_fail_k2(sq, 4000.0)
+    assert summary["infidelity_k2"] == 1 - f_sub_single(sq, 4000.0, 2)
+
+
+def test_import_leaves_scipy_quadratures_unloaded():
+    code = ("import sys, timebin; print(sorted(m for m in sys.modules "
+            "if m in ('scipy.integrate', 'scipy.signal')))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "[]"
