@@ -112,12 +112,14 @@ def validate_config(experiment: str, cfg: dict):
             build_fqh(cfg["N_x"], cfg["N_y"], cfg["J"], 0.0, cfg["phi_plaq"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    if experiment == "compile":     # the layouts pair up sites per axis
-        sizes = {"chain": ["N_x"], "square": ["N_x", "N_y"]}.get(cfg["geometry"])
-        if not sizes or any(not isinstance(cfg[k], int) or cfg[k] < 2
-                            or cfg[k] % 2 for k in sizes):
-            raise ConfigError("compile needs geometry chain with an even "
-                              "N_x >= 2, or square with even N_x and N_y >= 2")
+    if experiment == "compile":     # the schedule rules live in schedule.py
+        sizes = ("N_x", "N_y") if cfg["geometry"] == "square" else ("N_x",)
+        if any(not isinstance(cfg[k], int) for k in sizes):
+            raise ConfigError(f"compile needs integer sizes {sizes}")
+        try:
+            experiments.compile_schedule(cfg)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(str(exc)) from None
     if experiment == "subtraction" and not cfg["gamma_grid"]:
         raise ConfigError("gamma_grid must be nonempty")
     if experiment == "incoherent" and cfg["n_circulations"] < 1:

@@ -47,6 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fock import DensityMatrix, FockBasis, enumerate_basis
+from .gates import orbit_unitary
 from .lattice import LatticeModel, exact_hamiltonian, step_operator
 from .spectral import effective_energies
 
@@ -146,23 +147,16 @@ def _two_mode_orbits(theta: float, n_max: int, cut: int) -> np.ndarray:
     """exp(-i theta (b+ c + b c+)) restricted to n_b <= cap, n_c < cut, for
     every cap = 0..n_max, blocked by the conserved total s = n_b + n_c:
     orbit[cap, s, a_out, a] = <a_out, s - a_out| U |a, s - a>, zero where
-    a or a_out is off the restricted orbit.
-
-    Truncation note: capping either mode removes generator rows, so each
-    (cap, cut) pair gets its own exactly-unitary exponential; slicing a
-    larger orbit would not be unitary.
+    a or a_out is off the restricted orbit.  Each (cap, s) block is the
+    orbit unitary on its own window of admitted n_b.
     """
     size = n_max + cut
     orbit = np.zeros((n_max + 1, size, size, n_max + 1), dtype=complex)
     for cap in range(n_max + 1):
         for s in range(cap + cut):
             lo, hi = max(0, s - cut + 1), min(s, cap)    # admitted n_b
-            a = np.arange(lo, hi)
-            # <a+1, q-1| b+ c |a, q> = sqrt((a+1) q),  q = s - a
-            amp = (theta * np.sqrt((a + 1) * (s - a))).astype(complex)
-            w, v = np.linalg.eigh(np.diag(amp, 1) + np.diag(amp, -1))
             block = slice(lo, hi + 1)
-            orbit[cap, s, block, block] = (v * np.exp(-1j * w)) @ v.conj().T
+            orbit[cap, s, block, block] = orbit_unitary(theta, 0.0, s, lo, hi)
     return orbit
 
 
@@ -216,10 +210,7 @@ class DriveDissChannel:
             target = occ[cols]
             target[:, site] = a_out[cols, qs]
             self.kraus.append(
-                sp.csr_matrix(
-                    (amps[qs] * val[cols, qs], (basis.rank(target), cols)),
-                    shape=(basis.dim, basis.dim), dtype=complex,
-                )
+                basis.transfer(cols, target, amps[qs] * val[cols, qs])
             )
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -503,10 +494,8 @@ class IncoherentProtocol:
         lo_b, hi_b = self.bases[k], self.bases[k + 1]
         target = lo_b.occupations().copy()
         target[:, site] += 1
-        bdag = sp.csr_matrix(
-            (np.sqrt(target[:, site]), (hi_b.rank(target), np.arange(lo_b.dim))),
-            shape=(hi_b.dim, lo_b.dim), dtype=complex,
-        )
+        bdag = lo_b.transfer(np.arange(lo_b.dim), target,
+                             np.sqrt(target[:, site]), into=hi_b)
         lo, hi = self.sectors[k], self.sectors[k + 1]
         return hi.vectors.conj().T @ (bdag @ lo.vectors)
 

@@ -475,7 +475,10 @@ def run_subtraction(cfg, outdir):
 # --- schedule compilation -------------------------------------------------------
 
 
-def run_compile(cfg, outdir):
+def compile_schedule(cfg):
+    """(model, layout, events) of a compile config.  The layout step of
+    run_compile; load_config runs it too, so a config the schedule rules
+    reject fails with its ValueError before any output is written."""
     dt = cfg["delta_t"]
     geometry = cfg.get("geometry", "chain")
     if geometry == "chain":
@@ -497,6 +500,13 @@ def run_compile(cfg, outdir):
         )
     else:
         raise ValueError(f"unknown geometry {geometry!r}")
+    return model, layout, events
+
+
+def run_compile(cfg, outdir):
+    dt = cfg["delta_t"]
+    geometry = cfg.get("geometry", "chain")
+    model, layout, events = compile_schedule(cfg)
     basis = enumerate_basis(model.n_sites, {1})
 
     with open(os.path.join(outdir, "schedule.txt"), "w") as fh:

@@ -5,12 +5,14 @@ restricted to one or more total-photon sectors.  Ordering is deterministic:
 sectors ascending, occupations lexicographic within each sector.  Everything
 here is immutable after construction and safe to share across threads.
 
-Operators that move photons between modes are built on one kernel: edit a
-copy of the cached, read-only (dim, n_modes) occupations array, then map
-the edited rows back to basis indices with ``FockBasis.rank``.  A row's
-rank is its sector's offset plus its lexicographic position inside the
-sector, which the combinatorial number system gives in closed form
-(Streltsov, Alon & Cederbaum, PRA 81, 022124 (2010)):
+Every operator that moves photons between modes is built by one builder,
+``FockBasis.transfer``: the caller edits a copy of rows of the cached,
+read-only (dim, n_modes) occupations array, and ``transfer`` maps the
+edited rows back to basis indices with ``FockBasis.rank`` and places the
+matrix elements.  A row's rank is its sector's offset plus its
+lexicographic position inside the sector, which the combinatorial number
+system gives in closed form (Streltsov, Alon & Cederbaum, PRA 81, 022124
+(2010)):
 
     position = sum_p C(r_p + m_p, m_p) - C(r_{p+1} + m_p, m_p)
 
@@ -129,6 +131,19 @@ class FockBasis:
             left = after
         return np.where(ok, pos, -1)
 
+    def transfer(self, cols, target, values,
+                 into: "FockBasis" = None) -> sp.csr_matrix:
+        """Sparse (into.dim, dim) matrix with entry values[k] from basis
+        state cols[k] to the occupation row target[k] of ``into`` (default:
+        this basis).  Targets that are not ``into`` states are dropped."""
+        into = self if into is None else into
+        rows = into.rank(target)
+        ok = rows >= 0
+        return sp.csr_matrix(
+            (np.asarray(values)[ok], (rows[ok], np.asarray(cols)[ok])),
+            shape=(into.dim, self.dim), dtype=complex,
+        )
+
 
 def enumerate_basis(n_modes: int, sectors) -> FockBasis:
     """Enumerate the Fock basis of ``n_modes`` modes over the given sectors.
@@ -228,21 +243,16 @@ def ladder_operator(basis: FockBasis, mode: int, kind: str) -> SectorOperator:
         raise ValueError(f"mode {mode} out of range for {basis.n_modes} modes")
     if kind not in ("create", "annihilate", "number"):
         raise ValueError(f"unknown ladder kind {kind!r}")
-    n = basis.occupations()[:, mode]
+    occ = basis.occupations()
+    n = occ[:, mode]
     if kind == "number":
         cols = np.flatnonzero(n)
-        rows, vals = cols, n[cols].astype(float)
-    else:
-        create = kind == "create"
-        target = basis.occupations().copy()
-        target[:, mode] += 1 if create else -1
-        rows = basis.rank(target)
-        cols = np.flatnonzero(rows >= 0)
-        rows = rows[cols]
-        vals = np.sqrt(n[cols] + create)     # sqrt(n + 1) up, sqrt(n) down
-    mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(basis.dim, basis.dim), dtype=complex
-    )
+        return SectorOperator(basis, basis.transfer(cols, occ[cols], n[cols]))
+    create = kind == "create"
+    target = occ.copy()
+    target[:, mode] += 1 if create else -1
+    # sqrt(n + 1) up, sqrt(n) down
+    mat = basis.transfer(np.arange(basis.dim), target, np.sqrt(n + create))
     return SectorOperator(basis, mat)
 
 

@@ -25,6 +25,7 @@ from .fock import DensityMatrix, FockBasis, SectorOperator, StateVector
 
 __all__ = [
     "GateDescriptor",
+    "orbit_unitary",
     "beamsplitter_gate",
     "number_phase_gate",
     "linear_phase_gate",
@@ -78,22 +79,22 @@ def extend_phase_table(table, n_max: int) -> np.ndarray:
     return out
 
 
-def _two_mode_bs_blocks(theta: float, phi: float, s_max: int) -> np.ndarray:
-    """Beamsplitter unitaries restricted to fixed n_i + n_j = s, s = 0..s_max.
+def orbit_unitary(theta: float, phi: float, s: int, lo: int,
+                  hi: int) -> np.ndarray:
+    """exp(-i G), G = theta(e^{i phi} b_i b_j^dag + h.c.), on the window
+    lo <= n_i <= hi of the orbit n_i + n_j = s:
+    block[a - lo, b - lo] = <n_i = a, n_j = s - a| U |n_i = b, n_j = s - b>.
 
-    blocks[s, a, b] = <n_i = a, n_j = s - a| U |n_i = b, n_j = s - b>, zero
-    for a or b above s.  Each block is built by eigendecomposition of the
-    Hermitian generator, so it is unitary to machine precision for any
-    sector.
+    The generator is tridiagonal on the window and is exponentiated by
+    Hermitian eigendecomposition, so the block is unitary to machine
+    precision.  A window narrower than 0..s drops the generator rows a
+    truncated mode cannot reach; slicing a wider block would not be unitary.
     """
-    blocks = np.zeros((s_max + 1,) * 3, dtype=complex)
-    for s in range(s_max + 1):
-        ni = np.arange(1, s + 1)
-        # <n_i - 1, n_j + 1| b_i b_j^dag |n_i, n_j> = sqrt(n_i (n_j + 1))
-        amp = theta * np.exp(1j * phi) * np.sqrt(ni * (s - ni + 1))
-        w, v = np.linalg.eigh(np.diag(amp, 1) + np.diag(amp.conj(), -1))
-        blocks[s, : s + 1, : s + 1] = (v * np.exp(-1j * w)) @ v.conj().T
-    return blocks
+    ni = np.arange(lo + 1, hi + 1)
+    # <n_i - 1, n_j + 1| b_i b_j^dag |n_i, n_j> = sqrt(n_i (n_j + 1))
+    amp = theta * np.exp(1j * phi) * np.sqrt(ni * (s - ni + 1))
+    w, v = np.linalg.eigh(np.diag(amp, 1) + np.diag(amp.conj(), -1))
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def beamsplitter_gate(
@@ -102,15 +103,17 @@ def beamsplitter_gate(
     """Two-mode beamsplitter exp(-i G), G = theta(e^{i phi} b_i b_j^dag + h.c.).
 
     Number conserving and exactly unitary on any sector basis: the generator
-    block-diagonalizes over n_i + n_j, and each block is exponentiated by
-    Hermitian eigendecomposition.
+    block-diagonalizes over n_i + n_j, and each block is the orbit unitary.
     """
     if i == j:
         raise ValueError("beamsplitter modes must differ")
     if not (0 <= i < basis.n_modes and 0 <= j < basis.n_modes):
         raise ValueError("mode index out of range")
     s_max = max(basis.sectors)
-    blocks = _two_mode_bs_blocks(theta, phi, s_max)
+    # blocks[s, a, b]: the orbit unitary of n_i + n_j = s, zero above s
+    blocks = np.zeros((s_max + 1,) * 3, dtype=complex)
+    for s in range(s_max + 1):
+        blocks[s, : s + 1, : s + 1] = orbit_unitary(theta, phi, s, 0, s)
     occ = basis.occupations()
     s = occ[:, i] + occ[:, j]
     # amps[col, a]: amplitude from column col to n_i = a, zero above s
@@ -119,11 +122,9 @@ def beamsplitter_gate(
     target = occ[cols]
     target[:, i] = ni_out
     target[:, j] = s[cols] - ni_out
-    mat = sp.csr_matrix(
-        (amps[cols, ni_out], (basis.rank(target), cols)),
-        shape=(basis.dim, basis.dim), dtype=complex,
+    return SectorOperator(
+        basis, basis.transfer(cols, target, amps[cols, ni_out])
     )
-    return SectorOperator(basis, mat)
 
 
 def number_phase_gate(basis: FockBasis, i: int, phase_table) -> SectorOperator:

@@ -235,12 +235,8 @@ def _hop_matrix(basis: FockBasis, src: int, dst: int) -> sp.csr_matrix:
     target = occ.copy()
     target[:, src] -= 1
     target[:, dst] += 1
-    rows = basis.rank(target)
-    cols = np.flatnonzero(rows >= 0)
-    vals = np.sqrt(occ[cols, src] * (occ[cols, dst] + 1))
-    return sp.csr_matrix(
-        (vals, (rows[cols], cols)), shape=(basis.dim, basis.dim), dtype=complex
-    )
+    vals = np.sqrt(occ[:, src] * (occ[:, dst] + 1))
+    return basis.transfer(np.arange(basis.dim), target, vals)
 
 
 def exact_hamiltonian(model: LatticeModel, basis: FockBasis) -> SectorOperator:

@@ -84,12 +84,15 @@ class ScheduleEvent:
     table: tuple = None
 
 
-def _pair_phase(phases, a: int, b: int, default: float) -> float:
-    """Oriented hop phase for the pair (a, b); reversing flips the sign."""
+def _pair_phase(phases, a: int, b: int, default: float,
+                back: bool = False) -> float:
+    """Oriented hop phase for the pair (a, b); reversing flips the sign.
+    back=True looks up the hop b -> a first: on a two-site axis the pair
+    carries both a forward and a wrap-around edge."""
     if phases is None:
         return default
-    if callable(phases):
-        return phases(a, b)
+    if back and (b, a) in phases:
+        return -phases[(b, a)]
     if (a, b) in phases:
         return phases[(a, b)]
     if (b, a) in phases:
@@ -152,6 +155,8 @@ def compile_1d(N_x: int, l_x, theta: float, variant: str = "even_simple",
     if variant not in ("even_simple", "general"):
         raise ValueError(f"unknown 1D variant {variant!r}")
     l_x = Fraction(l_x)
+    if l_x <= 0:
+        raise ValueError(f"bin pitch l_x must be positive, got {l_x}")
     assignment = {x: (x % 2, -(x // 2) * l_x) for x in range(N_x)}
     period = Fraction(N_x, 2) * l_x
     layout = TimeBinLayout(
@@ -204,18 +209,19 @@ def compile_2d(N_x: int, N_y: int, l_x, l_y, theta: float, phases=None):
     beamsplitter event carries per-window phases since the gauge varies
     from edge to edge.
     """
-    if N_x % 2 or N_y % 2:
-        raise ValueError("2D compilation needs even N_x and N_y")
+    if N_x < 2 or N_y < 2 or N_x % 2 or N_y % 2:
+        raise ValueError("2D compilation needs even N_x and N_y >= 2")
     l_x = Fraction(l_x)
+    if l_x <= 0:
+        raise ValueError(f"bin pitch l_x must be positive, got {l_x}")
     l_y = Fraction(l_y)
     if not l_y > Fraction(N_x, 2) * l_x:
         raise ValueError("cluster pitch l_y must exceed the cluster width")
-    assignment = {}
-    for y in range(N_y):
-        for x in range(N_x):
-            site = x + N_x * y
-            wg = (y % 2) * 2 + (x % 2)
-            assignment[site] = (wg, -(y // 2) * l_y - (x // 2) * l_x)
+    # waveguide (y parity, x parity); clusters of pitch l_y, bins of l_x
+    assignment = {
+        x + N_x * y: ((y % 2) * 2 + x % 2, -(y // 2) * l_y - (x // 2) * l_x)
+        for y in range(N_y) for x in range(N_x)
+    }
     period = Fraction(N_y, 2) * l_y
     layout = TimeBinLayout(
         n_waveguides=4, bin_assignment=assignment, period=period,
@@ -225,71 +231,40 @@ def compile_2d(N_x: int, N_y: int, l_x, l_y, theta: float, phases=None):
     def site(x, y):
         return (x % N_x) + N_x * (y % N_y)
 
-    def pphi(a, b):
-        return _pair_phase(phases, a, b, math.pi)
-
     events = []
     delays = [Fraction(0)] * 4
-
-    def emit_windowed(wg_a, wg_b, pairs):
-        wins = []
-        for sa, sb in pairs:
-            ta = (layout.bin_assignment[sa][1] + delays[wg_a]) % period
-            wins.append(_window(ta, l_x, pphi(sa, sb)))
-        events.append(
-            ScheduleEvent("bs", (wg_a, wg_b), theta=theta,
-                          windows=tuple(sorted(wins)))
+    # each axis runs the 1D general circuit on both of its waveguide pairs,
+    # one pair per parity of the other coordinate: x on the fine bins, then
+    # y on the coarse clusters; at(u, v) is the site at u along the axis
+    for n, n_other, pitch, wg_pairs, at in (
+        (N_x, N_y, l_x, ((0, 1), (2, 3)), site),
+        (N_y, N_x, l_y, ((0, 2), (1, 3)), lambda u, v: site(v, u)),
+    ):
+        # (bonds (u_a, u_b), hop runs u_b -> u_a, delayed side, delay)
+        layers = (
+            ([(u, u + 1) for u in range(0, n, 2)], False, 0, pitch),
+            ([(u, u - 1) for u in range(2, n, 2)], True, 1,
+             Fraction(n, 2) * pitch),
+            ([(0, n - 1)], True, 0, (Fraction(n, 2) - 1) * pitch),
         )
-
-    def add_delay(wg, length):
-        events.append(ScheduleEvent("delay", (wg,), length=length))
-        delays[wg] += length
-
-    # x-direction layers on both waveguide pairs (fine bins)
-    for wg_a, wg_b, ypar in ((0, 1, 0), (2, 3, 1)):
-        pairs = [
-            (site(x, y), site(x + 1, y))
-            for y in range(ypar, N_y, 2) for x in range(0, N_x, 2)
-        ]
-        emit_windowed(wg_a, wg_b, pairs)
-    add_delay(0, l_x)
-    add_delay(2, l_x)
-    for wg_a, wg_b, ypar in ((0, 1, 0), (2, 3, 1)):
-        pairs = [
-            (site(x, y), site(x - 1, y))
-            for y in range(ypar, N_y, 2) for x in range(2, N_x, 2)
-        ]
-        emit_windowed(wg_a, wg_b, pairs)
-    add_delay(1, Fraction(N_x, 2) * l_x)
-    add_delay(3, Fraction(N_x, 2) * l_x)
-    for wg_a, wg_b, ypar in ((0, 1, 0), (2, 3, 1)):
-        pairs = [(site(0, y), site(N_x - 1, y)) for y in range(ypar, N_y, 2)]
-        emit_windowed(wg_a, wg_b, pairs)
-    add_delay(0, (Fraction(N_x, 2) - 1) * l_x)
-    add_delay(2, (Fraction(N_x, 2) - 1) * l_x)
-
-    # y-direction layers on the coarse clusters
-    for wg_a, wg_b, xpar in ((0, 2, 0), (1, 3, 1)):
-        pairs = [
-            (site(x, y), site(x, y + 1))
-            for x in range(xpar, N_x, 2) for y in range(0, N_y, 2)
-        ]
-        emit_windowed(wg_a, wg_b, pairs)
-    add_delay(0, l_y)
-    add_delay(1, l_y)
-    for wg_a, wg_b, xpar in ((0, 2, 0), (1, 3, 1)):
-        pairs = [
-            (site(x, y), site(x, y - 1))
-            for x in range(xpar, N_x, 2) for y in range(2, N_y, 2)
-        ]
-        emit_windowed(wg_a, wg_b, pairs)
-    add_delay(2, Fraction(N_y, 2) * l_y)
-    add_delay(3, Fraction(N_y, 2) * l_y)
-    for wg_a, wg_b, xpar in ((0, 2, 0), (1, 3, 1)):
-        pairs = [(site(x, 0), site(x, N_y - 1)) for x in range(xpar, N_x, 2)]
-        emit_windowed(wg_a, wg_b, pairs)
-    add_delay(0, (Fraction(N_y, 2) - 1) * l_y)
-    add_delay(1, (Fraction(N_y, 2) - 1) * l_y)
+        for bonds, back, side, length in layers:
+            for parity, (wg_a, wg_b) in enumerate(wg_pairs):
+                wins = []
+                for v in range(parity, n_other, 2):
+                    for ua, ub in bonds:
+                        sa, sb = at(ua, v), at(ub, v)
+                        t = (assignment[sa][1] + delays[wg_a]) % period
+                        phi = _pair_phase(phases, sa, sb, math.pi, back)
+                        wins.append(_window(t, l_x, phi))
+                events.append(
+                    ScheduleEvent("bs", (wg_a, wg_b), theta=theta,
+                                  windows=tuple(sorted(wins)))
+                )
+            for pair in wg_pairs:
+                events.append(
+                    ScheduleEvent("delay", (pair[side],), length=length)
+                )
+                delays[pair[side]] += length
     return layout, events
 
 

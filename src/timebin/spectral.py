@@ -142,31 +142,22 @@ def jacobi_theta(a: float, b: float, z: complex, tau: complex) -> complex:
     return complex(np.sum(np.exp(exponent)))
 
 
-def analytic_ground_state(
-    model: LatticeModel,
-    l: int,
-    *,
-    cm_a_offset: float = 0.0,
-    cm_b: float = 0.0,
-    gauge_sign: int = 1,
-    basis: FockBasis = None,
-) -> AnalyticGroundState:
+def analytic_ground_state(model: LatticeModel, l: int) -> AnalyticGroundState:
     """Torus two-photon ground-state wavefunction on the sector-2 basis.
 
     psi(r1, r2) = F_cm(r1 + r2) * exp(-pi phi sum y_i^2)
                   * theta[1/2,1/2]((r1 - r2)/N_x | i N_y/N_x)^2
 
     with the center-of-mass factor
-    F_cm(R) = theta[l/2 + cm_a_offset, cm_b](2 R phi N_y/N_x | 2 i N_y/N_x).
-    The result is multiplied by exp(i gauge_sign 2 pi phi x y) per particle to
+    F_cm(R) = theta[l/2, 0](2 R phi N_y/N_x | 2 i N_y/N_x).
+    The result is multiplied by exp(i 2 pi phi x y) per particle to
     move from the holomorphic gauge (x-hops carry the phase, states are
     f(z) exp(-y^2 / 2 l_B^2)) into the lattice gauge, then normalized.
 
     The half-integer characteristics a_l = l/2 are the ones that leave the
     sampled product strictly periodic under lattice translations by
     (N_x, 0); on the 4x4 quarter-flux torus they reproduce the 94.5%
-    ground-space overlap benchmark.  Other center-of-mass conventions can be
-    probed through cm_a_offset / cm_b.
+    ground-space overlap benchmark.
     """
     if model.geometry != "square":
         raise ValueError("analytic ground state requires a square torus")
@@ -177,10 +168,8 @@ def analytic_ground_state(
         raise ValueError("total flux must be even for a two-photon ground state")
     if l not in (1, 2):
         raise ValueError("l must be 1 or 2")
-    if basis is None:
-        basis = enumerate_basis(model.n_sites, {2})
+    basis = enumerate_basis(model.n_sites, {2})
     tau_rel = 1j * ny / nx
-    a_cm = l / 2.0 + cm_a_offset
 
     def first_quantized(i, j):
         x1, y1 = model.site_xy(i)
@@ -189,12 +178,10 @@ def analytic_ground_state(
         r2 = x2 + 1j * y2
         rel = jacobi_theta(0.5, 0.5, (r1 - r2) / nx, tau_rel) ** 2
         cm = jacobi_theta(
-            a_cm, cm_b, 2 * (r1 + r2) * phi * ny / nx, 2j * ny / nx
+            l / 2.0, 0.0, 2 * (r1 + r2) * phi * ny / nx, 2j * ny / nx
         )
         gauss = np.exp(-np.pi * phi * (y1**2 + y2**2))
-        gauge = np.exp(
-            1j * gauge_sign * 2 * np.pi * phi * (x1 * y1 + x2 * y2)
-        )
+        gauge = np.exp(1j * 2 * np.pi * phi * (x1 * y1 + x2 * y2))
         return cm * gauss * rel * gauge
 
     amps = np.zeros(basis.dim, dtype=complex)

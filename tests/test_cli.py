@@ -28,6 +28,11 @@ def test_compile_square_geometry(tmp_path):
     ["compile", "--set", "geometry=square", "--set", "N_x=5"],
     ["compile", "--set", "N_x=7"],
     ["compile", "--set", "geometry=hexagonal"],
+    ["compile", "--set", "geometry=square", "--set", "l_y=1"],
+    # the default N_x = 8 needs a cluster pitch l_y > 4
+    ["compile", "--set", "geometry=square", "--set", "l_y=3"],
+    ["compile", "--set", "variant=foo"],
+    ["compile", "--set", "l_x=0"],
 ])
 def test_model_errors_exit_one(argv, tmp_path, capsys):
     out = tmp_path / "out"

@@ -82,6 +82,24 @@ def test_kraus_trace_preserving(small_basis):
         assert ch.kraus_defect() < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n_modes=st.integers(1, 4), n_max=st.integers(0, 3),
+    cut=st.integers(3, 4), k_dt=st.floats(0.0, 0.3),
+    abs_alpha=st.floats(0.0, 0.05), arg_alpha=st.floats(-np.pi, np.pi),
+    data=st.data(),
+)
+def test_random_drive_channels_are_trace_preserving(
+        n_modes, n_max, cut, k_dt, abs_alpha, arg_alpha, data):
+    alpha = abs_alpha * np.exp(1j * arg_alpha)
+    # the channel refuses a coherent state its ancilla_cut truncates
+    assume(dynamics._coherent_amplitudes(alpha, cut)[1] <= 1e-10)
+    basis = enumerate_basis(n_modes, range(n_max + 1))
+    site = data.draw(st.integers(0, n_modes - 1))
+    p = DriveDissParams.from_circuit(k_dt, alpha, -2.0, 0.25)
+    assert DriveDissChannel(basis, site, p, cut).kraus_defect() < 1e-12
+
+
 def test_truncation_deficit_raises(small_basis):
     p = DriveDissParams.from_circuit(0.1, 0.9, 0.0, 0.25)
     with pytest.raises(ValueError, match="ancilla_cut"):

@@ -142,6 +142,23 @@ def test_sector_restriction_drops_out_of_basis_targets():
     assert bdag.entries.nnz == 0
 
 
+def test_transfer_between_bases_matches_ladder_block():
+    # b+ from sector 1 into sector 2 equals the 2 <- 1 block of the
+    # creation operator on the joint basis; targets outside are dropped
+    lo, hi = enumerate_basis(3, {1}), enumerate_basis(3, {2})
+    both = enumerate_basis(3, {1, 2})
+    target = lo.occupations().copy()
+    target[:, 2] += 1
+    bdag = lo.transfer(np.arange(lo.dim), target, np.sqrt(target[:, 2]),
+                       into=hi)
+    assert bdag.shape == (hi.dim, lo.dim)
+    full = ladder_operator(both, 2, "create").to_dense()
+    block = full[both.sector_slice(2), both.sector_slice(1)]
+    assert np.array_equal(bdag.toarray(), block)
+    # into the source basis itself every target leaves sector 1
+    assert lo.transfer(np.arange(lo.dim), target, np.ones(lo.dim)).nnz == 0
+
+
 def test_product_fock_state():
     b = enumerate_basis(8, {0, 2})
     vac = product_fock_state(b, (0,) * 8)

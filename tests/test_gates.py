@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from timebin.fock import enumerate_basis, ladder_operator, product_fock_state
 from timebin.gates import (
@@ -75,6 +76,25 @@ def test_gates_unitary_and_number_conserving():
         assert g.is_unitary(1e-10)
         comm = g.entries @ n_tot - n_tot @ g.entries
         assert abs(comm).max() < 1e-10 if comm.nnz else True
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n_modes=st.integers(2, 5),
+    sectors=st.sets(st.integers(0, 4), min_size=1),
+    theta=st.floats(-20.0, 20.0), phi=st.floats(-10.0, 10.0),
+    data=st.data(),
+)
+def test_random_beamsplitters_unitary_and_number_conserving(
+        n_modes, sectors, theta, phi, data):
+    b = enumerate_basis(n_modes, sectors)
+    i, j = data.draw(
+        st.lists(st.integers(0, n_modes - 1), min_size=2, max_size=2,
+                 unique=True)
+    )
+    g = beamsplitter_gate(b, i, j, theta, phi)
+    assert g.is_unitary(1e-10)
+    assert g.conserves_number()
 
 
 def test_number_phase_identity_and_bose_hubbard_value():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from timebin.fock import enumerate_basis
 from timebin.gates import number_phase_gate
@@ -108,6 +109,50 @@ def test_2d_equivalence_with_gauge():
     assert fired == edges
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    N_x=st.sampled_from([2, 4, 6]), N_y=st.sampled_from([2, 4, 6]),
+    l_x=st.sampled_from([1, 2]), extra=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+def test_2d_random_sizes_certify(N_x, N_y, l_x, extra, data):
+    # any flux the torus admits: an integer number k of quanta in total
+    k = data.draw(st.integers(0, N_x * N_y - 1))
+    model = build_fqh(N_x, N_y, 1.0, 0.0, k / (N_x * N_y))
+    phases = {(a, b): cmath.phase(w) for a, b, w in model.edges}
+    dt = 0.25
+    layout, events = compile_2d(N_x, N_y, l_x, N_x // 2 * l_x + extra, dt,
+                                phases=phases)
+    basis = enumerate_basis(model.n_sites, {1})
+    op, _ = simulate_schedule(layout, events, basis)
+    equal, dist, _ = certify_equivalence(op.to_dense(),
+                                         step_operator(model, dt, basis))
+    assert equal and dist < 1e-10
+
+
+@pytest.mark.parametrize("N_x,N_y", [(2, 2), (2, 4), (4, 2)])
+def test_2d_two_site_axis_with_flux(N_x, N_y):
+    # a two-site axis joins its pair by a forward and a wrap-around edge;
+    # the wrap layer must take the wrap edge's phase
+    model = build_fqh(N_x, N_y, 1.0, 0.0, 0.25)
+    phases = {(a, b): cmath.phase(w) for a, b, w in model.edges}
+    layout, events = compile_2d(N_x, N_y, 1, N_x // 2 + 1, 0.25,
+                                phases=phases)
+    basis = enumerate_basis(model.n_sites, {1})
+    op, _ = simulate_schedule(layout, events, basis)
+    equal, dist, _ = certify_equivalence(op.to_dense(),
+                                         step_operator(model, 0.25, basis))
+    assert equal and dist < 1e-10
+
+
+def test_nonpositive_pitch_rejected():
+    for l_x in (0, -1):
+        with pytest.raises(ValueError, match="l_x"):
+            compile_1d(4, l_x, 0.2)
+        with pytest.raises(ValueError, match="l_x"):
+            compile_2d(4, 4, l_x, 3, 0.2)
+
+
 def test_2d_geometry_constraint():
     with pytest.raises(ValueError):
         compile_2d(4, 4, 1, 2, 0.25)  # l_y == cluster width
@@ -192,6 +237,14 @@ def test_serialization_roundtrip_and_golden():
     u1, _ = simulate_schedule(layout, events, basis)
     u2, _ = simulate_schedule(layout2, events2, basis)
     assert np.max(np.abs(u1.to_dense() - u2.to_dense())) == 0.0
+
+
+def test_2d_golden():
+    model = build_fqh(4, 4, 1.0, 0.0, 0.25)
+    phases = {(a, b): cmath.phase(w) for a, b, w in model.edges}
+    layout, events = compile_2d(4, 4, 1, 3, 0.25, phases=phases)
+    golden = (GOLDEN / "fqh4x4_square.sched").read_text()
+    assert serialize_schedule(layout, events) == golden
 
 
 def test_serialization_roundtrip_2d():
