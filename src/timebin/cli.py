@@ -88,12 +88,30 @@ def load_config(experiment: str, path: str = None, overrides=None) -> dict:
 
 
 def validate_config(experiment: str, cfg: dict):
+    # each value keeps the JSON kind of its default; a null default (l_y)
+    # also takes a number, and a list's items keep the kind of its first
+    for key, default in DEFAULTS[experiment].items():
+        allowed = {_kind(default)} | ({"number"} if default is None else set())
+        if _kind(cfg[key]) not in allowed:
+            kinds = " or ".join(sorted(allowed))
+            raise ConfigError(f"{key} must be a {kinds}, got {cfg[key]!r}")
+        if isinstance(default, list) and any(
+            _kind(v) != _kind(default[0]) for v in cfg[key]
+        ):
+            raise ConfigError(f"{key} must hold {_kind(default[0])}s only")
     numeric = [
         v for k, v in cfg.items()
         if isinstance(v, (int, float)) and not isinstance(v, bool)
     ]
     if any(not _finite(v) for v in numeric):
         raise ConfigError("all numeric parameters must be finite")
+    for key in ("N_x", "N_y"):
+        if key in cfg and not isinstance(cfg[key], int):
+            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
+    if "delta_t" in cfg and cfg["delta_t"] <= 0:
+        raise ConfigError("delta_t must be positive")
+    if experiment == "spectrum" and 2 not in cfg["sectors"]:
+        raise ConfigError("sectors must contain 2, the ground's sector")
     if experiment == "steady_state":
         if cfg["omega_points"] < 1:
             raise ConfigError("omega_grid must be nonempty")
@@ -113,9 +131,6 @@ def validate_config(experiment: str, cfg: dict):
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     if experiment == "compile":     # the schedule rules live in schedule.py
-        sizes = ("N_x", "N_y") if cfg["geometry"] == "square" else ("N_x",)
-        if any(not isinstance(cfg[k], int) for k in sizes):
-            raise ConfigError(f"compile needs integer sizes {sizes}")
         try:
             experiments.compile_schedule(cfg)
         except (ValueError, TypeError) as exc:
@@ -124,6 +139,14 @@ def validate_config(experiment: str, cfg: dict):
         raise ConfigError("gamma_grid must be nonempty")
     if experiment == "incoherent" and cfg["n_circulations"] < 1:
         raise ConfigError("n_circulations must be positive")
+
+
+def _kind(v) -> str:
+    """JSON kind of a config value; bool is tested before int, its base."""
+    return next(name for types, name in (
+        (bool, "boolean"), ((int, float), "number"), (str, "string"),
+        (list, "list"), (dict, "object"), (type(None), "null"),
+    ) if isinstance(v, types))
 
 
 def _finite(v) -> bool:

@@ -70,33 +70,32 @@ SUPER_DIM_LIMIT = 256
 
 @dataclass
 class DriveDissParams:
-    """Drive/loss parameters and their circuit realization.
+    """Drive/loss circuit: beamsplitter rate K, ancilla amplitude alpha and
+    drive frequency Omega_drive at circulation time delta_t.  The simulated
+    drive F = conj(alpha) K, loss rate gamma_loss = (K dt)^2 / dt and phase
+    Phi = Omega_drive dt follow from them."""
 
-    Consistency: conj(alpha) * K = F, gamma_loss * dt = (K dt)^2,
-    Phi = Omega_drive * dt.
-    """
-
-    F: complex
-    Omega_drive: float
-    gamma_loss: float
-    delta_t: float
-    alpha: complex
     K: float
-    Phi: float
+    alpha: complex
+    Omega_drive: float
+    delta_t: float
+
+    @property
+    def F(self) -> complex:
+        return np.conj(self.alpha) * self.K
+
+    @property
+    def gamma_loss(self) -> float:
+        return (self.K * self.delta_t) ** 2 / self.delta_t
+
+    @property
+    def Phi(self) -> float:
+        return self.Omega_drive * self.delta_t
 
     @classmethod
     def from_circuit(cls, K_dt: float, alpha: complex, Omega_drive: float,
                      delta_t: float) -> "DriveDissParams":
-        K = K_dt / delta_t
-        return cls(
-            F=np.conj(alpha) * K,
-            Omega_drive=Omega_drive,
-            gamma_loss=K_dt**2 / delta_t,
-            delta_t=delta_t,
-            alpha=complex(alpha),
-            K=K,
-            Phi=Omega_drive * delta_t,
-        )
+        return cls(K_dt / delta_t, complex(alpha), Omega_drive, delta_t)
 
     @classmethod
     def from_physical(cls, F: complex, Omega_drive: float, gamma_loss: float,
@@ -105,18 +104,7 @@ class DriveDissParams:
             raise ValueError("loss rate must be nonnegative")
         K = math.sqrt(gamma_loss / delta_t) if gamma_loss > 0 else 0.0
         alpha = np.conj(F / K) if K > 0 else 0.0
-        return cls(
-            F=complex(F), Omega_drive=Omega_drive, gamma_loss=gamma_loss,
-            delta_t=delta_t, alpha=complex(alpha), K=K,
-            Phi=Omega_drive * delta_t,
-        )
-
-    def consistency_defect(self) -> float:
-        return max(
-            abs(np.conj(self.alpha) * self.K - self.F),
-            abs(self.gamma_loss * self.delta_t - (self.K * self.delta_t) ** 2),
-            abs(self.Phi - self.Omega_drive * self.delta_t),
-        )
+        return cls(K, complex(alpha), Omega_drive, delta_t)
 
 
 @dataclass
@@ -300,10 +288,7 @@ class CirculationChannel:
         """The channel at another drive frequency; it shares this one's
         step and per-site maps."""
         ch = copy.copy(self)
-        ch._tune(replace(
-            self.params, Omega_drive=Omega_drive,
-            Phi=Omega_drive * self.params.delta_t,
-        ))
+        ch._tune(replace(self.params, Omega_drive=Omega_drive))
         return ch
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:

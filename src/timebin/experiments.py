@@ -17,6 +17,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import scipy
@@ -32,6 +33,7 @@ from .dynamics import (
 from .fock import enumerate_basis, product_fock_state
 from .lattice import build_bose_hubbard, build_fqh, step_operator
 from .schedule import (
+    VARIANTS_1D,
     certify_equivalence,
     compile_1d,
     compile_2d,
@@ -481,23 +483,23 @@ def compile_schedule(cfg):
     reject fails with its ValueError before any output is written."""
     dt = cfg["delta_t"]
     geometry = cfg.get("geometry", "chain")
+    variant, l_x = cfg.get("variant", "even_simple"), cfg.get("l_x", 1)
+    if variant not in VARIANTS_1D:      # a square compile never reads it
+        raise ValueError(f"unknown 1D variant {variant!r}")
     if geometry == "chain":
         model = build_bose_hubbard(cfg["N_x"], cfg["J"], 0.0,
                                    boundary="periodic")
-        layout, events = compile_1d(
-            cfg["N_x"], cfg.get("l_x", 1), cfg["J"] * dt,
-            variant=cfg.get("variant", "even_simple"),
-        )
+        layout, events = compile_1d(cfg["N_x"], l_x, cfg["J"] * dt,
+                                    variant=variant)
     elif geometry == "square":
         model = build_fqh(cfg["N_x"], cfg["N_y"], cfg["J"], 0.0,
                           cfg["phi_plaq"], boundary="periodic")
         phases = {(a, b): cmath.phase(w) for a, b, w in model.edges}
         l_y = cfg.get("l_y")
-        layout, events = compile_2d(
-            cfg["N_x"], cfg["N_y"], cfg.get("l_x", 1),
-            cfg["N_x"] // 2 + 1 if l_y is None else l_y, cfg["J"] * dt,
-            phases=phases,
-        )
+        if l_y is None:     # a unit gap between clusters
+            l_y = Fraction(cfg["N_x"], 2) * Fraction(l_x) + 1
+        layout, events = compile_2d(cfg["N_x"], cfg["N_y"], l_x, l_y,
+                                    cfg["J"] * dt, phases=phases)
     else:
         raise ValueError(f"unknown geometry {geometry!r}")
     return model, layout, events

@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 
+VARIANTS_1D = ("even_simple", "general")
+
+
 class ScheduleError(RuntimeError):
     pass
 
@@ -58,8 +61,6 @@ class TimeBinLayout:
     n_waveguides: int
     bin_assignment: dict          # site -> (waveguide, arrival Fraction)
     period: Fraction = None       # train period for circulating schedules
-    l_x: Fraction = None
-    l_y: Fraction = None
 
     def sites_on(self, wg: int):
         return [s for s, (w, _) in self.bin_assignment.items() if w == wg]
@@ -71,7 +72,7 @@ class ScheduleEvent:
 
     kind "delay": waveguides = (wg,), length set.
     kind "bs":    waveguides = (wg_a, wg_b), theta/phi set; windows is None
-    for a static splitter, else a tuple of (lo, hi, phi) on-intervals.
+    for a static splitter, else a nonempty tuple of (lo, hi, phi) windows.
     kind "phase": waveguides = (wg,), table set.
     """
 
@@ -141,30 +142,26 @@ def _check_collisions(arrivals, period, wg):
         seen[key] = s
 
 
-def compile_1d(N_x: int, l_x, theta: float, variant: str = "even_simple",
-               phi: float = math.pi, phases=None):
+def compile_1d(N_x: int, l_x, theta: float, variant: str = "even_simple"):
     """Schedule implementing one Trotter hopping step of a periodic chain.
 
     even_simple: two static beamsplitters with fully packed fiber loops.
     general: static splitter, gated splitter for the interior odd edges,
-    and a second gated splitter for the wrap edge, per-edge on-windows.
+    and a second gated splitter for the wrap edge, per-edge on-windows
+    (N_x = 2 has no interior odd edge, hence no first gated splitter).
     Both need even N_x (the fiber lengths are (N_x/2)-multiples of l_x).
     """
     if N_x < 2 or N_x % 2 != 0:
         raise ValueError(f"{variant} compilation needs even N_x, got {N_x}")
-    if variant not in ("even_simple", "general"):
+    if variant not in VARIANTS_1D:
         raise ValueError(f"unknown 1D variant {variant!r}")
     l_x = Fraction(l_x)
     if l_x <= 0:
         raise ValueError(f"bin pitch l_x must be positive, got {l_x}")
     assignment = {x: (x % 2, -(x // 2) * l_x) for x in range(N_x)}
     period = Fraction(N_x, 2) * l_x
-    layout = TimeBinLayout(
-        n_waveguides=2, bin_assignment=assignment, period=period, l_x=l_x
-    )
-
-    def pphi(a, b):
-        return _pair_phase(phases, a, b, phi)
+    layout = TimeBinLayout(2, assignment, period)
+    phi = math.pi
 
     if variant == "even_simple":
         events = [
@@ -175,25 +172,24 @@ def compile_1d(N_x: int, l_x, theta: float, variant: str = "even_simple",
         ]
         return layout, events
 
-    # general variant: window the interior odd edges and the wrap edge
-    d = [Fraction(0), Fraction(0)]
-    events = [ScheduleEvent("bs", (0, 1), theta=theta, phi=phi)]
-    events.append(ScheduleEvent("delay", (0,), length=l_x))
-    d[0] += l_x
-    interior = []
-    for x in range(2, N_x, 2):
-        t = (assignment[x][1] + d[0]) % period
-        interior.append(_window(t, l_x, pphi(x, x - 1)))
-    events.append(
-        ScheduleEvent("bs", (0, 1), theta=theta, phi=phi,
-                      windows=tuple(sorted(interior)))
+    # general variant: window the interior odd edges and the wrap edge,
+    # both met by waveguide 0's bins after its l_x delay
+    events = [
+        ScheduleEvent("bs", (0, 1), theta=theta, phi=phi),
+        ScheduleEvent("delay", (0,), length=l_x),
+    ]
+    interior = sorted(
+        _window((assignment[x][1] + l_x) % period, l_x, phi)
+        for x in range(2, N_x, 2)
     )
+    if interior:
+        events.append(ScheduleEvent("bs", (0, 1), theta=theta, phi=phi,
+                                    windows=tuple(interior)))
     events.append(ScheduleEvent("delay", (1,), length=Fraction(N_x, 2) * l_x))
-    d[1] += Fraction(N_x, 2) * l_x
-    t_wrap = (assignment[0][1] + d[0]) % period
+    t_wrap = (assignment[0][1] + l_x) % period
     events.append(
         ScheduleEvent("bs", (0, 1), theta=theta, phi=phi,
-                      windows=(_window(t_wrap, l_x, pphi(0, N_x - 1)),))
+                      windows=(_window(t_wrap, l_x, phi),))
     )
     events.append(
         ScheduleEvent("delay", (0,), length=(Fraction(N_x, 2) - 1) * l_x)
@@ -223,10 +219,7 @@ def compile_2d(N_x: int, N_y: int, l_x, l_y, theta: float, phases=None):
         for y in range(N_y) for x in range(N_x)
     }
     period = Fraction(N_y, 2) * l_y
-    layout = TimeBinLayout(
-        n_waveguides=4, bin_assignment=assignment, period=period,
-        l_x=l_x, l_y=l_y,
-    )
+    layout = TimeBinLayout(4, assignment, period)
 
     def site(x, y):
         return (x % N_x) + N_x * (y % N_y)
@@ -256,10 +249,11 @@ def compile_2d(N_x: int, N_y: int, l_x, l_y, theta: float, phases=None):
                         t = (assignment[sa][1] + delays[wg_a]) % period
                         phi = _pair_phase(phases, sa, sb, math.pi, back)
                         wins.append(_window(t, l_x, phi))
-                events.append(
-                    ScheduleEvent("bs", (wg_a, wg_b), theta=theta,
-                                  windows=tuple(sorted(wins)))
-                )
+                if wins:        # a two-site axis has no interior odd bond
+                    events.append(
+                        ScheduleEvent("bs", (wg_a, wg_b), theta=theta,
+                                      windows=tuple(sorted(wins)))
+                    )
             for pair in wg_pairs:
                 events.append(
                     ScheduleEvent("delay", (pair[side],), length=length)
@@ -410,7 +404,4 @@ def parse_schedule(text: str):
             )
         else:
             raise ScheduleError(f"cannot parse schedule line: {line}")
-    layout = TimeBinLayout(
-        n_waveguides=n_wg, bin_assignment=assignment, period=period
-    )
-    return layout, events
+    return TimeBinLayout(n_wg, assignment, period), events

@@ -28,8 +28,10 @@ one backward exponential-kernel integral.  The same reduction applies to the
 two-layer subtraction fidelity.
 
 An estimator derives its inputs with derive_quantities(pulse, gamma) unless
-the caller passes that result as ``derived``.  scipy.integrate and
-scipy.signal are imported where used, to keep them out of ``import timebin``.
+the caller passes that result as ``derived``, and integrates only the arrays
+that result holds: no estimator evaluates the pulse or marches a kernel
+again.  scipy.integrate and scipy.signal are imported where used, to keep
+them out of ``import timebin``.
 """
 
 from __future__ import annotations
@@ -113,7 +115,9 @@ class PulseShape:
 
 @dataclass
 class SubtractionDerived:
-    """u and its smoothed companions on a (possibly refined) uniform grid."""
+    """u and its smoothed companions on a (possibly refined) uniform grid,
+    plus u, u~ and G on the half-step grid that the backward kernel
+    marches take their midpoint forcings from."""
 
     pulse: PulseShape
     gamma: float
@@ -123,6 +127,9 @@ class SubtractionDerived:
     G: np.ndarray
     theta_tilde: np.ndarray
     w_tilde: np.ndarray
+    u_half: np.ndarray
+    u_tilde_half: np.ndarray
+    G_half: np.ndarray
 
     def ode_residual(self) -> float:
         """Max defect of the integrated ODE
@@ -136,12 +143,12 @@ class SubtractionDerived:
         return float(np.max(np.abs(self.u_tilde - rhs)))
 
 
-def _rk4_filter(a: float, h: float, f_nodes, f_mids, y0: float = 0.0):
+def _rk4_filter(a: float, h: float, f, y0: float = 0.0):
     """March y' = a y + f with classical RK4 at fixed step h.
 
-    f_nodes has N+1 node values, f_mids the N midpoint values.  Constant
-    coefficients make the update linear, so the whole march is one IIR
-    filter pass.
+    f holds the 2N+1 forcing samples at step h/2: the nodes are f[::2], the
+    midpoints f[1::2].  Constant coefficients make the update linear, so
+    the whole march is one IIR filter pass.
     """
     from scipy.signal import lfilter
     q = a * h
@@ -149,7 +156,8 @@ def _rk4_filter(a: float, h: float, f_nodes, f_mids, y0: float = 0.0):
     w0 = (h / 6.0) * (1.0 + q + q**2 / 2.0 + q**3 / 4.0)
     wm = (h / 6.0) * (4.0 + 2.0 * q + q**2 / 2.0)
     w1 = h / 6.0
-    g = w0 * f_nodes[:-1] + wm * f_mids + w1 * f_nodes[1:]
+    nodes = f[::2]
+    g = w0 * nodes[:-1] + wm * f[1::2] + w1 * nodes[1:]
     y = lfilter([1.0], [1.0, -R], g)
     if y0 != 0.0:
         n = np.arange(1, len(g) + 1)
@@ -174,10 +182,12 @@ def _refined_axis(pulse: PulseShape, gamma: float):
 
 
 def derive_quantities(pulse: PulseShape, gamma: float) -> SubtractionDerived:
-    """u~, G, Theta~, w~ on the stiffness-refined grid.
+    """u~, G, Theta~, w~ on the stiffness-refined grid, and u, u~, G on
+    its half-step grid.
 
     The three ODE marches run on nested grids (u~ at h/4, Theta~ at h/2,
-    w~ at h) so every forcing midpoint is available at full accuracy.
+    w~ at h) so every forcing midpoint is available at full accuracy.  The
+    half-step arrays are views of the finer ones, so they cost no memory.
     """
     from scipy.integrate import cumulative_simpson
     if gamma <= 0:
@@ -188,23 +198,19 @@ def derive_quantities(pulse: PulseShape, gamma: float) -> SubtractionDerived:
     u8 = pulse.evaluate(t8)
 
     # u~ at step h/4, forcing 2 gamma u
-    ut4 = _rk4_filter(
-        -2.0 * gamma, 1.0 / (4 * n), 2.0 * gamma * u8[::2], 2.0 * gamma * u8[1::2]
-    )
+    ut4 = _rk4_filter(-2.0 * gamma, 1.0 / (4 * n), 2.0 * gamma * u8)
     # Theta~ at step h/2, forcing 2 gamma (u~ - u)
-    f4 = 2.0 * gamma * (ut4 - u8[::2])
-    th2 = _rk4_filter(-2.0 * gamma, 1.0 / (2 * n), f4[::2], f4[1::2])
+    th2 = _rk4_filter(-2.0 * gamma, 1.0 / (2 * n), 2.0 * gamma * (ut4 - u8[::2]))
     # w~ at step h, forcing 4 gamma (u u~ - u Theta~)
     u2 = u8[::4]
-    f2 = 4.0 * gamma * u2 * (ut4[::2] - th2)
-    w1 = _rk4_filter(-4.0 * gamma, 1.0 / n, f2[::2], f2[1::2])
+    ut2 = ut4[::2]
+    w1 = _rk4_filter(-4.0 * gamma, 1.0 / n, 4.0 * gamma * u2 * (ut2 - th2))
 
-    grid = t8[::8]
-    u = u8[::8]
-    G = 1.0 - cumulative_simpson(u2**2, x=t8[::4], initial=0.0)[::2]
+    G2 = 1.0 - cumulative_simpson(u2**2, x=t8[::4], initial=0.0)
     return SubtractionDerived(
-        pulse=pulse, gamma=gamma, grid=grid, u=u,
-        u_tilde=ut4[::4], G=G, theta_tilde=th2[::2], w_tilde=w1,
+        pulse=pulse, gamma=gamma, grid=t8[::8], u=u8[::8],
+        u_tilde=ut4[::4], G=G2[::2], theta_tilde=th2[::2], w_tilde=w1,
+        u_half=u2, u_tilde_half=ut2, G_half=G2,
     )
 
 
@@ -237,26 +243,18 @@ def p_fail_k2(pulse: PulseShape, gamma: float,
     from scipy.integrate import cumulative_simpson, simpson
     d = derived or derive_quantities(pulse, gamma)
     grid, u, ut = d.grid, d.u, d.u_tilde
-    n = grid.size - 1
-    h = 1.0 / n
+    h = 1.0 / (grid.size - 1)
     D = u - ut
     tail1 = ut[-1] ** 2 / (4.0 * gamma)
 
     cum = cumulative_simpson(D**2, x=grid, initial=0.0)
     S = (cum[-1] - cum) + tail1
 
-    # J by backward march: in s = 1 - t, dJ/ds = -2 gamma J + D(1 - s).
-    # Midpoint forcing comes from a half-step refinement of D.
-    t2 = np.linspace(0.0, 1.0, 2 * n + 1)
-    u_half = pulse.evaluate(t2)
-    ut_half = _rk4_filter(
-        -2.0 * gamma, h / 2.0, 2.0 * gamma * u_half,
-        2.0 * gamma * pulse.evaluate((t2[:-1] + t2[1:]) / 2.0),
-    )
-    D_half = u_half - ut_half
-    Drev = D_half[::-1]
+    # J by backward march: in s = 1 - t, dJ/ds = -2 gamma J + D(1 - s),
+    # forced by D on the half-step grid
+    D_half = d.u_half - d.u_tilde_half
     J = _rk4_filter(
-        -2.0 * gamma, h, Drev[::2], Drev[1::2], y0=-ut[-1] / (4.0 * gamma)
+        -2.0 * gamma, h, D_half[::-1], y0=-ut[-1] / (4.0 * gamma)
     )[::-1]
 
     integrand = 2.0 * (
@@ -289,20 +287,15 @@ def f_sub_double(pulse: PulseShape, gamma: float, k: int,
         raise ValueError("two-layer fidelity needs k >= 2")
     d = derived or derive_quantities(pulse, gamma)
     grid, u, ut, G, wt = d.grid, d.u, d.u_tilde, d.G, d.w_tilde
-    n = grid.size - 1
-    h = 1.0 / n
+    h = 1.0 / (grid.size - 1)
 
     f = u * ut * G ** (k - 2)
     cum = cumulative_simpson(f, x=grid, initial=0.0)
     A = cum[-1] - cum          # int_t^1 u u~ G^{k-2}
 
     # B(t) = int_t^1 u(t2) G(t2)^{k-2} e^{-2 gamma (t2-t)} dt2, backward
-    t2 = np.linspace(0.0, 1.0, 2 * n + 1)
-    u_half = pulse.evaluate(t2)
-    G_half = 1.0 - cumulative_simpson(u_half**2, x=t2, initial=0.0)
-    fb = u_half * np.clip(G_half, 0.0, None) ** (k - 2)
-    fbrev = fb[::-1]
-    B = _rk4_filter(-2.0 * gamma, h, fbrev[::2], fbrev[1::2])[::-1]
+    fb = d.u_half * np.clip(d.G_half, 0.0, None) ** (k - 2)
+    B = _rk4_filter(-2.0 * gamma, h, fb[::-1])[::-1]
 
     inner = u * ut * A + u * (0.5 * wt - ut**2) * B
     val = k * (k - 1) * simpson(inner, x=grid)

@@ -21,6 +21,15 @@ def test_compile_square_geometry(tmp_path):
             == (explicit / "schedule.txt").read_bytes())
 
 
+def test_compile_square_default_pitch_follows_l_x(tmp_path):
+    # with no l_y set, the cluster pitch is N_x/2 * l_x + 1
+    out = tmp_path / "wide"
+    argv = ["compile", "--set", "geometry=square", "--set", "l_x=2"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["equal"] and cert["distance"] < 1e-10
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--set", "phi_plaq=0.3"],
     ["incoherent", "--set", "n_max=1"],
@@ -33,6 +42,17 @@ def test_compile_square_geometry(tmp_path):
     ["compile", "--set", "geometry=square", "--set", "l_y=3"],
     ["compile", "--set", "variant=foo"],
     ["compile", "--set", "l_x=0"],
+    ["compile", "--set", "geometry=square", "--set", "variant=foo"],
+    # a value of another JSON kind than its default
+    ["spectrum", "--set", 'N_x="a"'],
+    ["spectrum", "--set", "N_x=[1]"],
+    ["quench", "--set", 'N_x="a"'],
+    ["steady_state", "--set", 'omega_points="x"'],
+    ["incoherent", "--set", 'n_circulations="x"'],
+    ["subtraction", "--set", "gamma_grid=5"],
+    ["spectrum", "--set", "phi_plaq=null"],
+    ["quench", "--set", "delta_t=0"],
+    ["spectrum", "--set", "sectors=[3]"],
 ])
 def test_model_errors_exit_one(argv, tmp_path, capsys):
     out = tmp_path / "out"

@@ -52,13 +52,24 @@ def small_basis():
     return enumerate_basis(4, range(3))
 
 
-def test_params_consistency():
+def test_params_consistency(small_model, small_basis):
+    # F, gamma_loss and Phi derive from the circuit (K, alpha, Omega_drive)
     p = DriveDissParams.from_circuit(0.1, 0.01, -2.8, 0.25)
-    assert p.consistency_defect() < 1e-12
+    assert p.K * p.delta_t == pytest.approx(0.1)
+    assert p.F == pytest.approx(np.conj(0.01) * 0.1 / 0.25)
+    assert p.gamma_loss * 0.25 == pytest.approx(0.1**2)
+    assert p.Phi == -2.8 * 0.25
     q = DriveDissParams.from_physical(p.F, p.Omega_drive, p.gamma_loss, 0.25)
-    assert q.consistency_defect() < 1e-12
     assert q.K == pytest.approx(p.K)
     assert q.alpha == pytest.approx(p.alpha)
+    assert q.F == pytest.approx(p.F)
+    assert q.Phi == p.Phi
+    # a channel at another frequency carries that frequency's phase
+    ch = CirculationChannel(small_model, 0.25, p, n_max=2, basis=small_basis)
+    for omega in (0.0, 1.3, -2.5):
+        moved = ch.at_omega(omega).params
+        assert moved.Phi == omega * 0.25
+        assert (moved.K, moved.alpha) == (p.K, p.alpha)
 
 
 def test_zero_coupling_is_identity(small_basis):

@@ -145,6 +145,36 @@ def test_2d_two_site_axis_with_flux(N_x, N_y):
     assert equal and dist < 1e-10
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), two_d=st.booleans())
+def test_serialize_parse_roundtrip_certifies(data, two_d):
+    # the text form restores the layout and every event exactly, two-site
+    # axes included, and the parsed schedule still certifies
+    dt = data.draw(st.sampled_from([0.2, 0.25, 0.3]))
+    if two_d:
+        N_x = data.draw(st.sampled_from([2, 4, 6]))
+        N_y = data.draw(st.sampled_from([2, 4, 6]))
+        l_x = data.draw(st.sampled_from([1, 2]))
+        k = data.draw(st.integers(0, N_x * N_y - 1))
+        model = build_fqh(N_x, N_y, 1.0, 0.0, k / (N_x * N_y))
+        phases = {(a, b): cmath.phase(w) for a, b, w in model.edges}
+        layout, events = compile_2d(N_x, N_y, l_x, N_x // 2 * l_x + 1, dt,
+                                    phases=phases)
+    else:
+        N_x = data.draw(st.sampled_from([2, 4, 6, 8]))
+        l_x = data.draw(st.sampled_from([1, 2, Fraction(1, 2)]))
+        variant = data.draw(st.sampled_from(["even_simple", "general"]))
+        model = build_bose_hubbard(N_x, 1.0, 0.0, boundary="periodic")
+        layout, events = compile_1d(N_x, l_x, dt, variant=variant)
+    parsed = parse_schedule(serialize_schedule(layout, events))
+    assert parsed == (layout, events)
+    basis = enumerate_basis(model.n_sites, {1})
+    op, _ = simulate_schedule(*parsed, basis)
+    equal, dist, _ = certify_equivalence(op.to_dense(),
+                                         step_operator(model, dt, basis))
+    assert equal and dist < 1e-10
+
+
 def test_nonpositive_pitch_rejected():
     for l_x in (0, -1):
         with pytest.raises(ValueError, match="l_x"):

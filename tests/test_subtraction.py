@@ -197,6 +197,23 @@ def test_estimators_take_a_shared_derivation(square, bump):
             assert f_sub_double(pulse, 316.0, k, d) == f_sub_double(pulse, 316.0, k)
 
 
+def test_half_step_arrays_are_the_pulse_on_the_half_grid(square, bump):
+    # the estimators' half-step forcings come from derive_quantities; they
+    # equal sampling the pulse on the half grid and integrating G there
+    from scipy.integrate import cumulative_simpson
+    for pulse in (square, bump):
+        for gamma in (100.0, 4000.0):
+            d = derive_quantities(pulse, gamma)
+            t2 = np.linspace(0.0, 1.0, 2 * (d.grid.size - 1) + 1)
+            assert np.array_equal(d.u_half, pulse.evaluate(t2))
+            assert np.array_equal(
+                d.G_half,
+                1.0 - cumulative_simpson(d.u_half**2, x=t2, initial=0.0))
+            assert np.array_equal(d.u_half[::2], d.u)
+            assert np.array_equal(d.u_tilde_half[::2], d.u_tilde)
+            assert np.array_equal(d.G_half[::2], d.G)
+
+
 def test_run_subtraction_derives_once_per_pulse_and_gamma(monkeypatch, tmp_path):
     calls = []
 
