@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import experiments
-from .lattice import build_fqh
+from .lattice import build_bose_hubbard, build_fqh
 
 DEFAULTS = {
     "quench": {
@@ -105,40 +105,40 @@ def validate_config(experiment: str, cfg: dict):
     ]
     if any(not _finite(v) for v in numeric):
         raise ConfigError("all numeric parameters must be finite")
-    for key in ("N_x", "N_y"):
-        if key in cfg and not isinstance(cfg[key], int):
-            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
+    # integer keys (for a list, every item) and their lower bounds
+    int_min = {"N_x": 1, "N_y": 1, "n_max": 2, "omega_points": 1,
+               "n_circulations": 1, "record_every": 1, "ancilla_cut": 2,
+               "sectors": 0, "k_list": 1}
+    for key, low in int_min.items():
+        values = cfg.get(key, [])
+        if any(not isinstance(v, int) or v < low
+               for v in (values if isinstance(values, list) else [values])):
+            raise ConfigError(f"{key}: need integers >= {low}, "
+                              f"got {values!r}")
     if "delta_t" in cfg and cfg["delta_t"] <= 0:
         raise ConfigError("delta_t must be positive")
+    if cfg.get("total_time", 0) < 0:
+        raise ConfigError("total_time must be nonnegative")
     if experiment == "spectrum" and 2 not in cfg["sectors"]:
         raise ConfigError("sectors must contain 2, the ground's sector")
-    if experiment == "steady_state":
-        if cfg["omega_points"] < 1:
-            raise ConfigError("omega_grid must be nonempty")
-        if not cfg["K_dt_list"]:
-            raise ConfigError("K_dt_list must be nonempty")
-    if experiment in ("steady_state", "incoherent") and (
-        not isinstance(cfg["n_max"], int) or cfg["n_max"] < 2
+    if experiment == "steady_state" and not cfg["K_dt_list"]:
+        raise ConfigError("K_dt_list must be nonempty")
+    if experiment == "subtraction" and (
+        not cfg["gamma_grid"] or min(cfg["gamma_grid"]) <= 0
     ):
-        raise ConfigError(
-            "n_max must be an integer >= 2: the ground doublet lives in "
-            "sector 2"
-        )
-    # every flux-lattice config: the torus must hold an integer total flux
-    if "phi_plaq" in cfg and cfg.get("geometry", "square") == "square":
-        try:
+        raise ConfigError("gamma_grid must be nonempty and positive")
+    # build the model (and a compile's layout) the run will build, so a
+    # config the lattice or schedule rules reject fails here
+    try:
+        if experiment == "quench":
+            build_bose_hubbard(cfg["N_x"], cfg["J"], cfg["U"],
+                               boundary=cfg["boundary"])
+        elif "phi_plaq" in cfg and cfg.get("geometry", "square") == "square":
             build_fqh(cfg["N_x"], cfg["N_y"], cfg["J"], 0.0, cfg["phi_plaq"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if experiment == "compile":     # the schedule rules live in schedule.py
-        try:
+        if experiment == "compile":
             experiments.compile_schedule(cfg)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from None
-    if experiment == "subtraction" and not cfg["gamma_grid"]:
-        raise ConfigError("gamma_grid must be nonempty")
-    if experiment == "incoherent" and cfg["n_circulations"] < 1:
-        raise ConfigError("n_circulations must be positive")
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _kind(v) -> str:

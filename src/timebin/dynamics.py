@@ -34,7 +34,9 @@ difference) and S is the renewal-reward sum of the coherent amplitude
 accumulated between refresh events.  The phase-gate offsets make the
 vacuum -> ground ladder and the three-photon -> two-photon recovery exactly
 resonant, which is what funnels population into the two-photon ground
-space.
+space.  Each sector's ground is the lowest step eigenstate once every
+effective energy is unwrapped, in steps of 2 pi/dt, onto the branch of its
+mean exact energy <v|H|v>; the two-photon ground doublet is the lowest two.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import DensityMatrix, FockBasis, enumerate_basis
+from .fock import DensityMatrix, FockBasis, enumerate_basis, ladder_operator
 from .gates import orbit_unitary
 from .lattice import LatticeModel, exact_hamiltonian, step_operator
 from .spectral import effective_energies
@@ -383,14 +385,17 @@ class IncoherentParams:
     phi_2: float
 
 
-@dataclass
-class _SectorEig:
-    thetas: np.ndarray          # eigenphase angles, theta = -eps * dt
-    vectors: np.ndarray
-
-
 class IncoherentProtocol:
-    """Collision-limit integrator for the single-photon-ancilla protocol."""
+    """Collision-limit integrator for the single-photon-ancilla protocol.
+
+    ``sectors[k]`` is the spectrum of sector k's block of one Trotter step
+    on the basis of sectors 0..n_max.  ``order[k]`` sorts its labels by
+    effective energy unwrapped, in steps of 2 pi/dt, onto the branch of
+    <v|H|v>, since at strong U the interaction tops wrap below the ground.
+    ``order[k][0]`` is sector k's ground and ``doublet = order[2][:2]`` the
+    two-photon ground doublet, which the phase offsets, ``reset("ground")``
+    and ``observables()`` all read; an aliased doublet raises ValueError.
+    """
 
     def __init__(self, model: LatticeModel, delta_t: float, chi: float,
                  p_ref: float, n_max: int = 3):
@@ -409,44 +414,41 @@ class IncoherentProtocol:
         self.model = model
         self.delta_t = delta_t
         self.n_max = n_max
-        self.sectors = []
-        self.bases = []
-        self._ground_idx = []
+        basis = enumerate_basis(model.n_sites, range(n_max + 1))
+        step = step_operator(model, delta_t, basis)
+        h = exact_hamiltonian(model, basis).entries
+        period = 2 * np.pi / delta_t
+        self.sectors, self.order = [], []
         for k in range(n_max + 1):
-            basis = enumerate_basis(model.n_sites, {k})
-            res = effective_energies(step_operator(model, delta_t, basis),
-                                     delta_t, sector=k)
-            self.bases.append(basis)
-            self.sectors.append(
-                _SectorEig(
-                    thetas=-res.energies * delta_t,
-                    vectors=res.eigenvectors,
-                )
+            sl = basis.sector_slice(k)
+            res = effective_energies(step[sl, sl], delta_t, sector=k)
+            v = res.eigenvectors
+            mean_h = np.real(np.sum(v.conj() * (h[sl, sl] @ v), axis=0))
+            shift = np.round((mean_h - res.energies) / period)
+            self.sectors.append(res)
+            self.order.append(
+                np.argsort(res.energies + period * shift, kind="stable"))
+        # kept through the rate build, the joint step (15 MB on the 4x4
+        # torus) raised the peak RSS above that of per-sector steps
+        del step, h
+        self.doublet = self.order[2][:2]
+        if self.sectors[2].aliased[self.doublet].any():
+            raise ValueError(
+                "the ground doublet lies on the branch cut of the effective "
+                "energies; lower delta_t"
             )
-            # the effective energies wrap for high sectors at strong U (the
-            # interaction tops exceed pi/dt), so the lowest-energy LABEL can
-            # be an aliased state; anchor the physical ground through the
-            # exact Hamiltonian's ground eigenvector instead
-            if k == 0 or basis.dim == 1:
-                self._ground_idx.append(0)
-            else:
-                h = exact_hamiltonian(model, basis).to_dense()
-                w, v = np.linalg.eigh(h)
-                overlaps = np.abs(res.eigenvectors.conj().T @ v[:, 0]) ** 2
-                self._ground_idx.append(int(np.argmax(overlaps)))
-        th_g = [
-            s.thetas[g] for s, g in zip(self.sectors, self._ground_idx)
-        ]
+        th_g = [-s.energies[o[0]] * delta_t
+                for s, o in zip(self.sectors, self.order)]
         phi_1 = th_g[2] - th_g[1]
         phi_2 = phi_1 + (th_g[3] - th_g[2] if n_max >= 3 else 0.0)
         self.params = IncoherentParams(chi=chi, p_ref=p_ref,
                                        phi_1=phi_1, phi_2=phi_2)
-        self._build_rates()
+        self._build_rates(basis)
         self.reset("vacuum")
 
     # -- rate machinery ----------------------------------------------------
 
-    def _build_rates(self):
+    def _build_rates(self, basis: FockBasis):
         s = 1.0 - self.params.p_ref
         eps2 = math.sin(self.params.chi * self.delta_t) ** 2
         # ancilla phase-gate differences of the channels 1 -> 0 and 2 -> 1
@@ -459,42 +461,38 @@ class IncoherentProtocol:
             den = 1.0 - 2.0 * s * np.cos(delta) + s * s
             return eps2 * (1.0 - s * s) / den
 
-        # per sector pair k -> k+1: the m2 stack (n_sites, d_hi * d_lo), the
-        # kernels k10, k21 (d_hi, d_lo), and the per-site column sums
-        # (2, n_sites, d_lo) and row sums (2, n_sites, d_hi) of r1_j, r2_j
+        bdag = [ladder_operator(basis, j, "create").entries
+                for j in range(self.model.n_sites)]
+        thetas = [-sec.energies * self.delta_t for sec in self.sectors]
+        # per sector pair k -> k+1: the m2 stack (n_sites, d_hi * d_lo) of
+        # |<f, k+1| b_j^dag |i, k>|^2 in the eigenbases, the kernels k10, k21
+        # (d_hi, d_lo), and the per-site column sums (2, n_sites, d_lo) and
+        # row sums (2, n_sites, d_hi) of r1_j, r2_j
         self._pairs = []
         for k in range(self.n_max):
-            dth = self.sectors[k + 1].thetas[:, None] - self.sectors[k].thetas
+            lo, hi = basis.sector_slice(k), basis.sector_slice(k + 1)
+            v_lo = self.sectors[k].eigenvectors
+            v_hi_h = self.sectors[k + 1].eigenvectors.conj().T
+            dth = thetas[k + 1][:, None] - thetas[k]
             k10, k21 = kernel(dth - gate_10), 2.0 * kernel(dth - gate_21)
-            m2 = np.stack([np.abs(self._bdag_eigen(j, k)) ** 2
-                           for j in range(self.model.n_sites)])
+            m2 = np.stack([np.abs(v_hi_h @ (b[hi, lo] @ v_lo)) ** 2
+                           for b in bdag])
             self._pairs.append((
                 m2.reshape(len(m2), -1), k10, k21,
                 np.stack([np.einsum("fi,jfi->ji", kk, m2) for kk in (k10, k21)]),
                 np.stack([np.einsum("fi,jfi->jf", kk, m2) for kk in (k10, k21)]),
             ))
 
-    def _bdag_eigen(self, site: int, k: int) -> np.ndarray:
-        """<f, k+1| b_site^dag |i, k> in the step-unitary eigenbases."""
-        lo_b, hi_b = self.bases[k], self.bases[k + 1]
-        target = lo_b.occupations().copy()
-        target[:, site] += 1
-        bdag = lo_b.transfer(np.arange(lo_b.dim), target,
-                             np.sqrt(target[:, site]), into=hi_b)
-        lo, hi = self.sectors[k], self.sectors[k + 1]
-        return hi.vectors.conj().T @ (bdag @ lo.vectors)
-
     # -- state handling ------------------------------------------------------
 
     def reset(self, init: str = "vacuum"):
         """init = "vacuum" (empty lattice) or "ground" (a two-photon ground
         state); ancillas start in one photon each."""
-        self.populations = [np.zeros(b.dim) for b in self.bases]
+        self.populations = [np.zeros(len(s.energies)) for s in self.sectors]
         if init == "vacuum":
             self.populations[0][0] = 1.0
         elif init == "ground":
-            self.populations[2][0] = 0.5
-            self.populations[2][1] = 0.5
+            self.populations[2][self.doublet] = 0.5
         else:
             raise ValueError(f"unknown initialization {init!r}")
         self.ancilla = np.tile(np.array([0.0, 1.0, 0.0]),
@@ -548,7 +546,7 @@ class IncoherentProtocol:
 
     def observables(self) -> dict:
         pk = np.array([x.sum() for x in self.populations])
-        ground = float(self.populations[2][0] + self.populations[2][1])
+        ground = float(self.populations[2][self.doublet].sum())
         ks = np.arange(self.n_max + 1)
         n_mean = float(np.sum(ks * pk))
         n2_mean = float(np.sum(ks**2 * pk))

@@ -9,7 +9,10 @@ Every operator that moves photons between modes is built by one builder,
 ``FockBasis.transfer``: the caller edits a copy of rows of the cached,
 read-only (dim, n_modes) occupations array, and ``transfer`` maps the
 edited rows back to basis indices with ``FockBasis.rank`` and places the
-matrix elements.  A row's rank is its sector's offset plus its
+matrix elements.  Source and target share the one basis: an operator
+between sectors, such as b^dag from sector k into k+1, is the
+``[sector_slice(k + 1), sector_slice(k)]`` block of the operator built on
+a basis holding both.  A row's rank is its sector's offset plus its
 lexicographic position inside the sector, which the combinatorial number
 system gives in closed form (Streltsov, Alon & Cederbaum, PRA 81, 022124
 (2010)):
@@ -131,17 +134,16 @@ class FockBasis:
             left = after
         return np.where(ok, pos, -1)
 
-    def transfer(self, cols, target, values,
-                 into: "FockBasis" = None) -> sp.csr_matrix:
-        """Sparse (into.dim, dim) matrix with entry values[k] from basis
-        state cols[k] to the occupation row target[k] of ``into`` (default:
-        this basis).  Targets that are not ``into`` states are dropped."""
-        into = self if into is None else into
-        rows = into.rank(target)
+    def transfer(self, cols, target, values) -> sp.csr_matrix:
+        """Sparse (dim, dim) matrix with entry values[k] from basis state
+        cols[k] to the occupation row target[k].  Targets that are not basis
+        states are dropped, so an operator that changes the photon number
+        keeps only the moves between sectors of this basis."""
+        rows = self.rank(target)
         ok = rows >= 0
         return sp.csr_matrix(
             (np.asarray(values)[ok], (rows[ok], np.asarray(cols)[ok])),
-            shape=(into.dim, self.dim), dtype=complex,
+            shape=(self.dim, self.dim), dtype=complex,
         )
 
 

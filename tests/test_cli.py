@@ -53,6 +53,17 @@ def test_compile_square_default_pitch_follows_l_x(tmp_path):
     ["spectrum", "--set", "phi_plaq=null"],
     ["quench", "--set", "delta_t=0"],
     ["spectrum", "--set", "sectors=[3]"],
+    # values the model or the run cannot take
+    ["quench", "--set", "N_x=1"],
+    ["quench", "--set", "boundary=foo"],
+    ["quench", "--set", "total_time=-1"],
+    ["subtraction", "--set", "k_list=[0]"],
+    ["subtraction", "--set", "gamma_grid=[-1]"],
+    ["spectrum", "--set", "sectors=[2,-1]"],
+    ["spectrum", "--set", "sectors=[2,2.5]"],
+    ["steady_state", "--set", "ancilla_cut=1"],
+    ["steady_state", "--set", "omega_points=2.5"],
+    ["incoherent", "--set", "record_every=0"],
 ])
 def test_model_errors_exit_one(argv, tmp_path, capsys):
     out = tmp_path / "out"

@@ -4,9 +4,14 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
-from timebin import dynamics
-from timebin.fock import DensityMatrix, enumerate_basis, product_fock_state
-from timebin.lattice import build_fqh, step_operator
+from timebin import dynamics, spectral
+from timebin.fock import (
+    DensityMatrix,
+    enumerate_basis,
+    ladder_operator,
+    product_fock_state,
+)
+from timebin.lattice import build_fqh, exact_hamiltonian, step_operator
 from timebin.spectral import effective_energies, step_unitary
 from timebin.dynamics import (
     CirculationChannel,
@@ -313,15 +318,52 @@ def small_protocol(small_model):
     return IncoherentProtocol(small_model, 0.25, chi=0.05, p_ref=0.02, n_max=3)
 
 
-def test_protocol_phase_offsets_make_designed_transitions_resonant(small_protocol):
+def test_protocol_phase_offsets_make_designed_transitions_resonant():
+    # each sector's ground label order[k][0] lies in the step-eigenvalue
+    # manifold that carries the most weight of the exact ground space (on
+    # the 2x4 torus, sector 3's interaction tops wrap below it, so it is not
+    # label 0); the phase offsets read those labels, which makes the
+    # designed 1g->2g and 3g->2g lines exact
+    for shape in ((2, 2), (2, 4)):
+        model = build_fqh(*shape, 1.0, 10.0, 0.25)
+        prot = IncoherentProtocol(model, 0.25, chi=0.05, p_ref=0.02, n_max=3)
+        basis = enumerate_basis(model.n_sites, range(4))
+        h = exact_hamiltonian(model, basis).to_dense()
+        th = []
+        for k, (sec, order) in enumerate(zip(prot.sectors, prot.order)):
+            sl = basis.sector_slice(k)
+            w, v = np.linalg.eigh(h[sl, sl])
+            exact = v[:, w < w[0] + 1e-9]
+            weight = np.sum(np.abs(exact.conj().T @ sec.eigenvectors) ** 2,
+                            axis=0)
+            assert sec.energies[order[0]] == pytest.approx(
+                sec.energies[np.argmax(weight)], abs=1e-9)
+            th.append(-sec.energies[order[0]] * prot.delta_t)
+        assert shape == (2, 2) or prot.order[3][0] != 0
+        par = prot.params
+        assert (th[2] - th[1]) - par.phi_1 == pytest.approx(0.0, abs=1e-12)
+        assert (th[3] - th[2]) - (par.phi_2 - par.phi_1) == (
+            pytest.approx(0.0, abs=1e-12)
+        )
+
+
+def test_reset_ground_fills_the_doublet_that_anchors_phi_1(small_protocol):
     prot = small_protocol
-    th = [s.thetas[g] for s, g in zip(prot.sectors, prot._ground_idx)]
-    # vacuum -> one-photon ladder rung and 1 -> 2 rung share phi_1 up to the
-    # anharmonicity; the designed 1g->2g and 3g->2g lines are exact
-    assert (th[2] - th[1]) - prot.params.phi_1 == pytest.approx(0.0, abs=1e-12)
-    assert (th[3] - th[2]) - (prot.params.phi_2 - prot.params.phi_1) == (
-        pytest.approx(0.0, abs=1e-12)
-    )
+    prot.reset("ground")
+    filled = np.flatnonzero(prot.populations[2])
+    assert sorted(filled) == sorted(prot.order[2][:2])
+    assert np.all(prot.populations[2][filled] == 0.5)
+    assert prot.observables()["ground_population"] == 1.0
+    g1, g2 = prot.order[1][0], prot.order[2][0]
+    assert g2 in filled
+    e1, e2 = prot.sectors[1].energies, prot.sectors[2].energies
+    assert prot.params.phi_1 == -e2[g2] * prot.delta_t + e1[g1] * prot.delta_t
+
+
+def test_protocol_rejects_an_aliased_doublet(small_model, monkeypatch):
+    monkeypatch.setattr(spectral, "BRANCH_CUT_TOL", 1e3)
+    with pytest.raises(ValueError, match="branch cut"):
+        IncoherentProtocol(small_model, 0.25, chi=0.05, p_ref=0.02, n_max=3)
 
 
 def test_protocol_refresh_limit(small_model):
@@ -376,10 +418,10 @@ def test_incoherent_step_unitary_limit(small_model):
     u = step_operator(small_model, 0.25, basis)
     for k, sec in enumerate(prot.sectors):
         sl = basis.sector_slice(k)
-        v = sec.vectors
-        assert np.max(np.abs(u[sl, sl] @ v - v * np.exp(1j * sec.thetas))) < 1e-9
+        v = sec.eigenvectors
+        assert np.max(np.abs(u[sl, sl] @ v - v * sec.eigenphases)) < 1e-9
     rng = np.random.default_rng(21)
-    prot.populations = [rng.random(b.dim) for b in prot.bases]
+    prot.populations = [rng.random(len(s.energies)) for s in prot.sectors]
     before = [x.copy() for x in prot.populations]
     prot.step()
     for x, y in zip(prot.populations, before):
@@ -392,7 +434,7 @@ def test_incoherent_step_preserves_trace(small_protocol):
     prot = small_protocol
     prot.reset("vacuum")
     rng = np.random.default_rng(22)
-    pops = [rng.random(b.dim) for b in prot.bases]
+    pops = [rng.random(len(s.energies)) for s in prot.sectors]
     total = sum(float(x.sum()) for x in pops)
     prot.populations = [x / total for x in pops]
     prot.step()
@@ -409,13 +451,18 @@ def oracle_rates(prot):
     par = prot.params
     s = 1.0 - par.p_ref
     eps2 = np.sin(par.chi * prot.delta_t) ** 2
+    basis = enumerate_basis(prot.model.n_sites, range(prot.n_max + 1))
+    bdag = [ladder_operator(basis, j, "create").to_dense()
+            for j in range(prot.model.n_sites)]
+    thetas = [-sec.energies * prot.delta_t for sec in prot.sectors]
     rates = []
     for k in range(prot.n_max):
-        dth = prot.sectors[k + 1].thetas[:, None] - prot.sectors[k].thetas
+        dth = thetas[k + 1][:, None] - thetas[k]
         s10, s21 = [(1 - s * s) / (1 - 2 * s * np.cos(dth - phi) + s * s)
                     for phi in (par.phi_1, par.phi_2 - par.phi_1)]
-        m2s = [np.abs(prot._bdag_eigen(j, k)) ** 2
-               for j in range(prot.model.n_sites)]
+        lo, hi = basis.sector_slice(k), basis.sector_slice(k + 1)
+        v_lo, v_hi = prot.sectors[k].eigenvectors, prot.sectors[k + 1].eigenvectors
+        m2s = [np.abs(v_hi.conj().T @ b[hi, lo] @ v_lo) ** 2 for b in bdag]
         rates.append([(eps2 * m2 * s10, 2 * eps2 * m2 * s21) for m2 in m2s])
     return rates
 
@@ -482,7 +529,7 @@ def test_incoherent_step_random_states(small_protocol, small_oracle_rates,
     prot = small_protocol
     assume(pop_draws.sum() > 1e-3 and np.all(anc_draws.sum(axis=1) > 1e-3))
     pops = np.split(pop_draws / pop_draws.sum(),
-                    np.cumsum([b.dim for b in prot.bases])[:-1])
+                    np.cumsum([len(s.energies) for s in prot.sectors])[:-1])
     anc = anc_draws / anc_draws.sum(axis=1, keepdims=True)
     prot.populations = [x.copy() for x in pops]
     prot.ancilla = anc.copy()

@@ -143,20 +143,25 @@ def test_sector_restriction_drops_out_of_basis_targets():
 
 
 def test_transfer_between_bases_matches_ladder_block():
-    # b+ from sector 1 into sector 2 equals the 2 <- 1 block of the
-    # creation operator on the joint basis; targets outside are dropped
-    lo, hi = enumerate_basis(3, {1}), enumerate_basis(3, {2})
+    # b+ on mode 2 placed by transfer on the joint sector-1,2 basis: the
+    # 2 <- 1 block holds sqrt(n_2 + 1) at the dict index of each raised
+    # state, and the targets of sector-2 columns (in sector 3) are dropped
     both = enumerate_basis(3, {1, 2})
-    target = lo.occupations().copy()
+    target = both.occupations().copy()
     target[:, 2] += 1
-    bdag = lo.transfer(np.arange(lo.dim), target, np.sqrt(target[:, 2]),
-                       into=hi)
-    assert bdag.shape == (hi.dim, lo.dim)
-    full = ladder_operator(both, 2, "create").to_dense()
-    block = full[both.sector_slice(2), both.sector_slice(1)]
-    assert np.array_equal(bdag.toarray(), block)
-    # into the source basis itself every target leaves sector 1
-    assert lo.transfer(np.arange(lo.dim), target, np.ones(lo.dim)).nnz == 0
+    bdag = both.transfer(np.arange(both.dim), target,
+                         np.sqrt(target[:, 2])).toarray()
+    want = np.zeros((both.dim, both.dim))
+    lo = both.sector_slice(1)
+    for col in range(lo.start, lo.stop):
+        want[both.index[tuple(target[col])], col] = np.sqrt(target[col, 2])
+    assert np.array_equal(bdag, want)
+    assert np.array_equal(bdag, ladder_operator(both, 2, "create").to_dense())
+    # on the sector-1 basis alone every target leaves the basis
+    one = enumerate_basis(3, {1})
+    target = one.occupations().copy()
+    target[:, 2] += 1
+    assert one.transfer(np.arange(one.dim), target, np.ones(one.dim)).nnz == 0
 
 
 def test_product_fock_state():
