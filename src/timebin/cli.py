@@ -12,6 +12,7 @@ import os
 import sys
 
 from . import experiments
+from .dynamics import INITS, check_refresh
 from .lattice import build_bose_hubbard, build_fqh
 
 DEFAULTS = {
@@ -127,9 +128,17 @@ def validate_config(experiment: str, cfg: dict):
         not cfg["gamma_grid"] or min(cfg["gamma_grid"]) <= 0
     ):
         raise ConfigError("gamma_grid must be nonempty and positive")
-    # build the model (and a compile's layout) the run will build, so a
-    # config the lattice or schedule rules reject fails here
+    # list keys whose items the run looks up by name
+    for key, names in {"inits": INITS, "pulses": experiments.PULSES}.items():
+        if any(v not in names for v in cfg.get(key, [])):
+            raise ConfigError(f"{key}: pick from {list(names)}, "
+                              f"got {cfg[key]!r}")
+    # build the model (and a compile's layout) the run will build, and
+    # check the protocol's refresh rule, so a config the lattice, schedule
+    # or protocol rules reject fails here
     try:
+        if experiment == "incoherent":
+            check_refresh(cfg["chi"], cfg["p_ref"])
         if experiment == "quench":
             build_bose_hubbard(cfg["N_x"], cfg["J"], cfg["U"],
                                boundary=cfg["boundary"])

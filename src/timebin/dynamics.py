@@ -63,6 +63,8 @@ __all__ = [
     "fixed_point",
     "steady_state_observables",
     "IncoherentProtocol",
+    "INITS",
+    "check_refresh",
 ]
 
 # largest basis whose per-site channels CirculationChannel fuses into
@@ -241,28 +243,32 @@ class CirculationChannel:
     """One full circulation: a Trotter Hamiltonian step as rho -> U rho U+,
     then the drive/dissipation channel on every site.
 
+    The step conserves photon number, so U rho U+ is done per sector slice,
+    first the rows (U_k rho[k, :]) and then the columns (x[:, k] U_k+).
+
     The drive frequency enters only through the sites' phases e^{i Phi n_j},
     Phi = Omega_drive dt.  Each commutes with the other sites' Kraus maps,
-    so ``__call__`` applies them all last, as one diagonal that multiplies
-    rho_ab by e^{i Phi (N_a - N_b)}.  The step and the per-site maps are
-    built without it, and ``at_omega`` returns the channel at another drive
+    so they act last, as one diagonal that multiplies rho_ab by
+    e^{i Phi (N_a - N_b)}.  The step and the per-site maps are built
+    without it, and ``at_omega`` returns the channel at another drive
     frequency that shares them.
 
     Up to ``SUPER_DIM_LIMIT`` basis states the per-site channels are fused
-    into sparse superoperators on vec(rho), one matvec per site; larger
-    bases apply the Kraus operators one by one.  Both paths give the same
-    rho to ~2e-17.  A fused call is 2-5x faster, but the superoperators
-    grow as dim^2.  Measured with BLAS on one thread:
+    into sparse superoperators on vec(rho), one per pair of sites (an odd
+    site count leaves one single last), and the drive phase scales the
+    rows of the last one.  Larger bases apply the Kraus operators one by
+    one, then the phase.  Both paths give the same rho to ~2e-17.  The
+    fused call is 5-6x faster, but the superoperators grow as dim^2.
+    Measured with BLAS on one thread, best of three runs:
 
         dim   lattice, sectors   fused call   per-Kraus call
-         45   2x4, 0..2             0.17 ms          0.81 ms
-        153   4x4, 0..2              4.1 ms          14.2 ms
-        455   3x4, 0..3               55 ms           130 ms
-        969   4x4, 0..3              457 ms         1,419 ms
+         45   2x4, 0..2             0.13 ms           0.64 ms
+        153   4x4, 0..2              2.0 ms             11 ms
+        455   3x4, 0..3               49 ms           ~300 ms
 
-    At dim 969 the fused build takes 3.8 s and peaks at 923 MB RSS, against
-    0.5 s and 178 MB per-Kraus, so the limit keeps the fused path to bases
-    whose superoperators stay small.
+    At dim 969 (4x4, sectors 0..3) the fused build took 3.8 s and peaked
+    at 923 MB RSS, against 0.5 s and 178 MB per-Kraus, so the limit keeps
+    the fused path to bases whose superoperators stay small.
     """
 
     def __init__(self, model: LatticeModel, delta_t: float,
@@ -272,38 +278,62 @@ class CirculationChannel:
         self.delta_t = delta_t
         self.basis = basis or enumerate_basis(model.n_sites, range(n_max + 1))
         self.step = step_operator(model, delta_t, self.basis)
+        # the step conserves photon number: (slice, U_k, U_k^dag) per sector
+        self._blocks = []
+        for k in self.basis.sectors:
+            sl = self.basis.sector_slice(k)
+            u = np.ascontiguousarray(self.step[sl, sl])
+            self._blocks.append((sl, u, np.ascontiguousarray(u.conj().T)))
         self.sites = [
             DriveDissChannel(self.basis, j, params, ancilla_cut)
             for j in range(model.n_sites)
         ]
         self._supers = None
         if self.basis.dim <= SUPER_DIM_LIMIT:
-            self._supers = [site.as_superoperator() for site in self.sites]
+            self._supers = []
+            for j in range(0, len(self.sites), 2):
+                s = self.sites[j].as_superoperator()
+                if j + 1 < len(self.sites):
+                    s = self.sites[j + 1].as_superoperator() @ s
+                self._supers.append(s)
+            # _tune folds the drive phase into a copy of the last one
+            self._drive = self._supers[-1]
         self._tune(params)
 
     def _tune(self, params: DriveDissParams):
         self.params = params
         n = self.basis.totals()
-        self._phase = np.exp(1j * params.Phi * (n[:, None] - n[None, :]))
+        phase = np.exp(1j * params.Phi * (n[:, None] - n[None, :]))
+        if self._supers is None:
+            self._phase = phase
+            return
+        # row a * dim + b of a superoperator yields rho_ab
+        last = self._drive.copy()
+        last.data *= np.repeat(phase.ravel(), np.diff(last.indptr))
+        self._supers = self._supers[:-1] + [last]
 
     def at_omega(self, Omega_drive: float) -> "CirculationChannel":
         """The channel at another drive frequency; it shares this one's
-        step and per-site maps."""
+        step, per-site maps and all but the last fused superoperator."""
         ch = copy.copy(self)
         ch._tune(replace(self.params, Omega_drive=Omega_drive))
         return ch
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
-        out = self.step @ rho @ self.step.conj().T
-        if self._supers is not None:
-            v = out.ravel()
-            for s in self._supers:
-                v = s @ v
-            out = v.reshape(out.shape)
-        else:
+        half = np.empty(rho.shape, dtype=complex)
+        out = np.empty(rho.shape, dtype=complex)
+        for sl, u, _ in self._blocks:
+            np.matmul(u, rho[sl], out=half[sl])
+        for sl, _, u_h in self._blocks:
+            np.matmul(half[:, sl], u_h, out=out[:, sl])
+        if self._supers is None:
             for site in self.sites:
                 out = site.apply(out)
-        return self._phase * out
+            return self._phase * out
+        v = out.ravel()
+        for s in self._supers:
+            v = s @ v
+        return v.reshape(out.shape)
 
 
 def _trace_norm(mat: np.ndarray) -> float:
@@ -375,6 +405,22 @@ def steady_state_observables(report: SteadyStateReport,
 # ---------------------------------------------------------------------------
 
 
+# the initial states IncoherentProtocol.reset accepts
+INITS = ("vacuum", "ground")
+
+
+def check_refresh(chi: float, p_ref: float):
+    """Raise ValueError unless p_ref is a probability the collision-limit
+    integrator can take at ancilla coupling chi."""
+    if not 0.0 <= p_ref <= 1.0:
+        raise ValueError("p_ref must be a probability")
+    if chi != 0.0 and p_ref == 0.0:
+        raise ValueError(
+            "the collision-limit integrator needs p_ref > 0 when the "
+            "ancilla coupling is nonzero"
+        )
+
+
 @dataclass
 class IncoherentParams:
     """Coupling, refresh probability, and the ancilla phase-gate offsets."""
@@ -399,13 +445,7 @@ class IncoherentProtocol:
 
     def __init__(self, model: LatticeModel, delta_t: float, chi: float,
                  p_ref: float, n_max: int = 3):
-        if not 0.0 <= p_ref <= 1.0:
-            raise ValueError("p_ref must be a probability")
-        if chi != 0.0 and p_ref == 0.0:
-            raise ValueError(
-                "the collision-limit integrator needs p_ref > 0 when the "
-                "ancilla coupling is nonzero"
-            )
+        check_refresh(chi, p_ref)
         if n_max < 2:
             raise ValueError(
                 "the protocol needs n_max >= 2: its ground doublet lives in "
@@ -486,15 +526,16 @@ class IncoherentProtocol:
     # -- state handling ------------------------------------------------------
 
     def reset(self, init: str = "vacuum"):
-        """init = "vacuum" (empty lattice) or "ground" (a two-photon ground
-        state); ancillas start in one photon each."""
+        """init, one of INITS: "vacuum" (empty lattice) or "ground" (a
+        two-photon ground state); ancillas start in one photon each."""
+        if init not in INITS:
+            raise ValueError(f"unknown initialization {init!r}; pick one "
+                             f"of {INITS}")
         self.populations = [np.zeros(len(s.energies)) for s in self.sectors]
         if init == "vacuum":
             self.populations[0][0] = 1.0
-        elif init == "ground":
-            self.populations[2][self.doublet] = 0.5
         else:
-            raise ValueError(f"unknown initialization {init!r}")
+            self.populations[2][self.doublet] = 0.5
         self.ancilla = np.tile(np.array([0.0, 1.0, 0.0]),
                                (self.model.n_sites, 1))
 

@@ -430,12 +430,12 @@ def _benchmark_estimates(sq, d):
     }
 
 
+# the pulse shapes a subtraction config may name, by name
+PULSES = {"square": PulseShape.square, "bump": PulseShape.bump}
+
+
 def run_subtraction(cfg, outdir):
-    pulses = {
-        name: (PulseShape.square(cfg["grid_points"]) if name == "square"
-               else PulseShape.bump(cfg["grid_points"]))
-        for name in cfg["pulses"]
-    }
+    pulses = {name: PULSES[name](cfg["grid_points"]) for name in cfg["pulses"]}
     sq = pulses.get("square") or PulseShape.square()
     benchmark = None    # the summary's estimates, from the gamma = 4000 row
     rows = []

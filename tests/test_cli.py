@@ -64,6 +64,10 @@ def test_compile_square_default_pitch_follows_l_x(tmp_path):
     ["steady_state", "--set", "ancilla_cut=1"],
     ["steady_state", "--set", "omega_points=2.5"],
     ["incoherent", "--set", "record_every=0"],
+    ["incoherent", "--set", "p_ref=2"],
+    ["incoherent", "--set", "p_ref=0"],
+    ["incoherent", "--set", 'inits=["foo"]'],
+    ["subtraction", "--set", 'pulses=["foo"]'],
 ])
 def test_model_errors_exit_one(argv, tmp_path, capsys):
     out = tmp_path / "out"

@@ -11,7 +11,12 @@ from timebin.fock import (
     ladder_operator,
     product_fock_state,
 )
-from timebin.lattice import build_fqh, exact_hamiltonian, step_operator
+from timebin.lattice import (
+    build_bose_hubbard,
+    build_fqh,
+    exact_hamiltonian,
+    step_operator,
+)
 from timebin.spectral import effective_energies, step_unitary
 from timebin.dynamics import (
     CirculationChannel,
@@ -223,6 +228,40 @@ def test_per_kraus_path_matches_fused(monkeypatch):
     for seed in range(2):
         rho = random_density(basis.dim, seed)
         assert np.max(np.abs(per_kraus(rho) - fused(rho))) < 1e-15
+
+
+def test_odd_site_count_keeps_a_single_last_superoperator(monkeypatch):
+    # three sites fuse into one pair and one single; both channels carry a
+    # drive phase, which the fused path folds into that single
+    model = build_bose_hubbard(3, 1.0, 10.0)
+    basis = enumerate_basis(3, range(3))
+    p = DriveDissParams.from_circuit(0.2, 0.02, -1.7, 0.25)
+    fused = CirculationChannel(model, 0.25, p, n_max=2, basis=basis)
+    monkeypatch.setattr(dynamics, "SUPER_DIM_LIMIT", 0)
+    per_kraus = CirculationChannel(model, 0.25, p, n_max=2, basis=basis)
+    assert len(fused._supers) == 2 and per_kraus._supers is None
+    for seed in range(2):
+        rho = random_density(basis.dim, seed)
+        assert np.max(np.abs(per_kraus(rho) - fused(rho))) < 1e-15
+
+
+def test_at_omega_leaves_its_base_and_shares_the_unphased_pairs(
+        small_model, small_basis):
+    def params(omega):
+        return DriveDissParams.from_circuit(0.15, 0.015, omega, 0.25)
+
+    base = CirculationChannel(small_model, 0.25, params(0.0), n_max=2,
+                              basis=small_basis)
+    derived = [base.at_omega(omega) for omega in (-2.5, 1.3)]
+    fresh = CirculationChannel(small_model, 0.25, params(0.0), n_max=2,
+                               basis=small_basis)
+    rho = random_density(small_basis.dim, 9)
+    assert np.array_equal(base(rho), fresh(rho))
+    assert not np.array_equal(derived[0](rho), derived[1](rho))
+    for ch in derived:
+        assert len(ch._supers) == len(base._supers)
+        assert all(a is b for a, b in zip(ch._supers[:-1], base._supers))
+        assert ch._supers[-1] is not base._supers[-1]
 
 
 def test_drive_phase_factors_out_of_the_channel():
