@@ -15,7 +15,6 @@ from .gates import (
     GateDescriptor,
     apply_gate,
     beamsplitter_gate,
-    linear_phase_gate,
     number_phase_gate,
 )
 from .lattice import (
@@ -38,7 +37,6 @@ from .dynamics import (
     DriveDissParams,
     IncoherentParams,
     IncoherentProtocol,
-    drive_diss_channel,
     fixed_point,
     steady_state_observables,
 )

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import experiments
-from .dynamics import INITS, check_refresh
+from .dynamics import INITS, check_ancilla_cut, check_refresh
 from .lattice import build_bose_hubbard, build_fqh
 
 DEFAULTS = {
@@ -100,11 +101,9 @@ def validate_config(experiment: str, cfg: dict):
             _kind(v) != _kind(default[0]) for v in cfg[key]
         ):
             raise ConfigError(f"{key} must hold {_kind(default[0])}s only")
-    numeric = [
-        v for k, v in cfg.items()
-        if isinstance(v, (int, float)) and not isinstance(v, bool)
-    ]
-    if any(not _finite(v) for v in numeric):
+    if not all(_finite(v) for raw in cfg.values()
+               for v in (raw if isinstance(raw, list) else [raw])
+               if isinstance(v, (int, float)) and not isinstance(v, bool)):
         raise ConfigError("all numeric parameters must be finite")
     # integer keys (for a list, every item) and their lower bounds
     int_min = {"N_x": 1, "N_y": 1, "n_max": 2, "omega_points": 1,
@@ -116,14 +115,18 @@ def validate_config(experiment: str, cfg: dict):
                for v in (values if isinstance(values, list) else [values])):
             raise ConfigError(f"{key}: need integers >= {low}, "
                               f"got {values!r}")
-    if "delta_t" in cfg and cfg["delta_t"] <= 0:
-        raise ConfigError("delta_t must be positive")
+    for key in ("delta_t", "tol"):
+        if cfg.get(key, 1) <= 0:
+            raise ConfigError(f"{key} must be positive")
     if cfg.get("total_time", 0) < 0:
         raise ConfigError("total_time must be nonnegative")
     if experiment == "spectrum" and 2 not in cfg["sectors"]:
         raise ConfigError("sectors must contain 2, the ground's sector")
-    if experiment == "steady_state" and not cfg["K_dt_list"]:
-        raise ConfigError("K_dt_list must be nonempty")
+    # |K_dt| > pi repeats a beamsplitter angle, and overflows if huge
+    if experiment == "steady_state" and not (
+        cfg["K_dt_list"] and max(map(abs, cfg["K_dt_list"])) <= math.pi
+    ):
+        raise ConfigError("K_dt_list must be nonempty, each in [-pi, pi]")
     if experiment == "subtraction" and (
         not cfg["gamma_grid"] or min(cfg["gamma_grid"]) <= 0
     ):
@@ -134,11 +137,14 @@ def validate_config(experiment: str, cfg: dict):
             raise ConfigError(f"{key}: pick from {list(names)}, "
                               f"got {cfg[key]!r}")
     # build the model (and a compile's layout) the run will build, and
-    # check the protocol's refresh rule, so a config the lattice, schedule
-    # or protocol rules reject fails here
+    # check the protocol's refresh rule and the drive ancilla's truncation,
+    # so a config the lattice, schedule or channel rules reject fails here
     try:
         if experiment == "incoherent":
             check_refresh(cfg["chi"], cfg["p_ref"])
+        for k_dt in cfg.get("K_dt_list", []):
+            check_ancilla_cut(complex(cfg["alpha_ratio"] * k_dt),
+                              cfg["ancilla_cut"])
         if experiment == "quench":
             build_bose_hubbard(cfg["N_x"], cfg["J"], cfg["U"],
                                boundary=cfg["boundary"])
@@ -160,8 +166,8 @@ def _kind(v) -> str:
 
 def _finite(v) -> bool:
     try:
-        return abs(float(v)) < float("inf")
-    except (TypeError, ValueError):
+        return math.isfinite(v)
+    except OverflowError:       # an int too large for a float
         return False
 
 

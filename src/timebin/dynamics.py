@@ -34,9 +34,8 @@ difference) and S is the renewal-reward sum of the coherent amplitude
 accumulated between refresh events.  The phase-gate offsets make the
 vacuum -> ground ladder and the three-photon -> two-photon recovery exactly
 resonant, which is what funnels population into the two-photon ground
-space.  Each sector's ground is the lowest step eigenstate once every
-effective energy is unwrapped, in steps of 2 pi/dt, onto the branch of its
-mean exact energy <v|H|v>; the two-photon ground doublet is the lowest two.
+space.  Which step eigenstate is a sector's ground, and which two form the
+two-photon ground doublet, is the ground rule of ``spectral``.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ import scipy.sparse as sp
 
 from .fock import DensityMatrix, FockBasis, enumerate_basis, ladder_operator
 from .gates import orbit_unitary
-from .lattice import LatticeModel, exact_hamiltonian, step_operator
-from .spectral import effective_energies
+from .lattice import LatticeModel, step_operator
+from .spectral import sector_spectra
 
 __all__ = [
     "DriveDissParams",
@@ -59,12 +58,12 @@ __all__ = [
     "SteadyStateReport",
     "DriveDissChannel",
     "CirculationChannel",
-    "drive_diss_channel",
     "fixed_point",
     "steady_state_observables",
     "IncoherentProtocol",
     "INITS",
     "check_refresh",
+    "check_ancilla_cut",
 ]
 
 # largest basis whose per-site channels CirculationChannel fuses into
@@ -126,13 +125,23 @@ class SteadyStateReport:
     converged: bool = True
 
 
-def _coherent_amplitudes(alpha: complex, cut: int):
-    """Truncated, renormalized coherent-state amplitudes on 0..cut-1."""
-    q = np.arange(cut)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cut)))))
-    amps = np.exp(-abs(alpha) ** 2 / 2) * alpha**q / np.exp(0.5 * log_fact)
-    deficit = 1.0 - np.sum(np.abs(amps) ** 2)
-    return amps / np.linalg.norm(amps), deficit
+def check_ancilla_cut(alpha: complex, ancilla_cut: int) -> np.ndarray:
+    """Raise ValueError unless ancilla_cut >= 2 levels hold the coherent
+    state |alpha> up to a truncation deficit of 1e-10; return its
+    amplitudes on those levels, renormalized."""
+    if ancilla_cut < 2:
+        raise ValueError("ancilla needs at least two levels")
+    q = np.arange(ancilla_cut)
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(q[1:]))))
+    with np.errstate(all="ignore"):     # a huge alpha gives a NaN deficit
+        amps = np.exp(-np.abs(alpha) ** 2 / 2) * alpha**q / np.exp(0.5 * log_fact)
+        deficit = 1.0 - np.sum(np.abs(amps) ** 2)
+    if not deficit <= 1e-10:
+        raise ValueError(
+            f"coherent-state truncation deficit {deficit:.2e} > 1e-10; "
+            "raise ancilla_cut"
+        )
+    return amps / np.linalg.norm(amps)
 
 
 def _two_mode_orbits(theta: float, n_max: int, cut: int) -> np.ndarray:
@@ -157,8 +166,7 @@ class DriveDissChannel:
 
     The map leaves out the site's linear phase e^{i Phi n_site}, so nothing
     built here depends on Omega_drive: CirculationChannel applies every
-    site's phase at once as one diagonal, and drive_diss_channel applies
-    this site's.
+    site's phase at once as one diagonal.
 
     The Kraus operators are sparse: a photon can only move between the site
     and the ancilla, so each basis column couples to at most ancilla_cut
@@ -169,8 +177,7 @@ class DriveDissChannel:
 
     def __init__(self, basis: FockBasis, site: int, params: DriveDissParams,
                  ancilla_cut: int = 3):
-        if ancilla_cut < 2:
-            raise ValueError("ancilla needs at least two levels")
+        amps = check_ancilla_cut(params.alpha, ancilla_cut)
         if not 0 <= site < basis.n_modes:
             raise ValueError("site out of range")
         if basis.sectors != tuple(range(max(basis.sectors) + 1)):
@@ -180,12 +187,6 @@ class DriveDissChannel:
         self.params = params
         self.ancilla_cut = ancilla_cut
 
-        amps, deficit = _coherent_amplitudes(params.alpha, ancilla_cut)
-        if deficit > 1e-10:
-            raise ValueError(
-                f"coherent-state truncation deficit {deficit:.2e} > 1e-10; "
-                "raise ancilla_cut"
-            )
         n_max = max(basis.sectors)
         orbit = _two_mode_orbits(params.K * params.delta_t, n_max, ancilla_cut)
         occ = basis.occupations()
@@ -227,16 +228,6 @@ class DriveDissChannel:
         """max |sum_m K_m^dag K_m - I|, zero for a trace-preserving channel."""
         acc = sum(k.conj().T @ k for k in self.kraus)
         return abs(acc - sp.identity(self.basis.dim)).max()
-
-
-def drive_diss_channel(rho: DensityMatrix, site: int, params: DriveDissParams,
-                       ancilla_cut: int = 3) -> DensityMatrix:
-    """One application of the per-site drive/dissipation channel: the
-    site's Kraus map, then its phase e^{i Phi n_site}."""
-    ch = DriveDissChannel(rho.basis, site, params, ancilla_cut)
-    phase = np.exp(1j * params.Phi * rho.basis.occupations()[:, site])
-    out = ch.apply(rho.matrix)
-    return DensityMatrix(rho.basis, (phase[:, None] * out) * phase.conj())
 
 
 class CirculationChannel:
@@ -434,11 +425,9 @@ class IncoherentParams:
 class IncoherentProtocol:
     """Collision-limit integrator for the single-photon-ancilla protocol.
 
-    ``sectors[k]`` is the spectrum of sector k's block of one Trotter step
-    on the basis of sectors 0..n_max.  ``order[k]`` sorts its labels by
-    effective energy unwrapped, in steps of 2 pi/dt, onto the branch of
-    <v|H|v>, since at strong U the interaction tops wrap below the ground.
-    ``order[k][0]`` is sector k's ground and ``doublet = order[2][:2]`` the
+    ``sectors[k]`` is the ``spectral.sector_spectra`` result of sector k on
+    the basis of sectors 0..n_max.  By the ground rule ``sectors[k].order[0]``
+    is sector k's ground and ``doublet = sectors[2].order[:2]`` the
     two-photon ground doublet, which the phase offsets, ``reset("ground")``
     and ``observables()`` all read; an aliased doublet raises ValueError.
     """
@@ -455,30 +444,14 @@ class IncoherentProtocol:
         self.delta_t = delta_t
         self.n_max = n_max
         basis = enumerate_basis(model.n_sites, range(n_max + 1))
-        step = step_operator(model, delta_t, basis)
-        h = exact_hamiltonian(model, basis).entries
-        period = 2 * np.pi / delta_t
-        self.sectors, self.order = [], []
-        for k in range(n_max + 1):
-            sl = basis.sector_slice(k)
-            res = effective_energies(step[sl, sl], delta_t, sector=k)
-            v = res.eigenvectors
-            mean_h = np.real(np.sum(v.conj() * (h[sl, sl] @ v), axis=0))
-            shift = np.round((mean_h - res.energies) / period)
-            self.sectors.append(res)
-            self.order.append(
-                np.argsort(res.energies + period * shift, kind="stable"))
-        # kept through the rate build, the joint step (15 MB on the 4x4
-        # torus) raised the peak RSS above that of per-sector steps
-        del step, h
-        self.doublet = self.order[2][:2]
+        self.sectors = list(sector_spectra(model, delta_t, basis).values())
+        self.doublet = self.sectors[2].order[:2]
         if self.sectors[2].aliased[self.doublet].any():
             raise ValueError(
                 "the ground doublet lies on the branch cut of the effective "
                 "energies; lower delta_t"
             )
-        th_g = [-s.energies[o[0]] * delta_t
-                for s, o in zip(self.sectors, self.order)]
+        th_g = [-s.energies[s.order[0]] * delta_t for s in self.sectors]
         phi_1 = th_g[2] - th_g[1]
         phi_2 = phi_1 + (th_g[3] - th_g[2] if n_max >= 3 else 0.0)
         self.params = IncoherentParams(chi=chi, p_ref=p_ref,

@@ -43,10 +43,9 @@ from .schedule import (
 from .spectral import (
     analytic_ground_state,
     distinct_energy_count,
-    effective_energies,
     ground_space,
     overlap_optimize,
-    step_unitary,
+    sector_spectra,
 )
 from .subtraction import (
     PulseShape,
@@ -188,11 +187,11 @@ def free_boson_correlator(model, dt, n_steps, init_sites) -> np.ndarray:
 def run_spectrum(cfg, outdir):
     model = _fqh_model(cfg)
     dt = cfg["delta_t"]
+    spectra = sector_spectra(model, dt,
+                             enumerate_basis(model.n_sites, cfg["sectors"]))
     rows = []
-    results = {}
     for k in cfg["sectors"]:
-        res = effective_energies(step_unitary(model, dt, k), dt, sector=k)
-        results[k] = res
+        res = spectra[k]
         for idx, (e, u) in enumerate(zip(res.energies, res.eigenphases)):
             rows.append((k, idx, e, u.real, u.imag))
     write_csv(
@@ -201,12 +200,12 @@ def run_spectrum(cfg, outdir):
     )
     summary = {
         "delta_t": dt, "U": cfg["U"], "phi_plaq": cfg["phi_plaq"],
-        "distinct_sector2": distinct_energy_count(results[2].energies),
+        "distinct_sector2": distinct_energy_count(spectra[2].energies),
     }
-    gs = ground_space(results[2])
+    gs = ground_space(spectra[2])
     summary.update(
         gap=gs.gap, degeneracy_split=gs.degeneracy_split,
-        ground_energy=float(results[2].energies[0]),
+        ground_energy=gs.ground_energy,
     )
     if cfg["U"] != 0.0:
         ana = analytic_ground_state(model, 1)
@@ -300,10 +299,9 @@ def _scan_worker_point(job):
 def run_steady_state(cfg, outdir, threads: int = 1):
     model = _fqh_model(cfg)
     dt = cfg["delta_t"]
-    spec2 = effective_energies(step_unitary(model, dt, 2), dt, sector=2)
-    spec1 = effective_energies(step_unitary(model, dt, 1), dt, sector=1)
-    gs = ground_space(spec2)
-    eps_fqh = float(np.mean(spec2.energies[:2]))
+    spectra = sector_spectra(model, dt, enumerate_basis(model.n_sites, {1, 2}))
+    gs = ground_space(spectra[2])
+    eps_fqh = float(np.mean(gs.energies))
     omegas = np.linspace(cfg["omega_min"], cfg["omega_max"],
                          cfg["omega_points"])
     n_max, tol = cfg["n_max"], cfg["tol"]
@@ -342,7 +340,7 @@ def run_steady_state(cfg, outdir, threads: int = 1):
     summary = {
         "eps_fqh": eps_fqh,
         "resonance_omega": eps_fqh / 2,
-        "sector1_resonance": float(spec1.energies[0]),
+        "sector1_resonance": ground_space(spectra[1]).ground_energy,
         "gap": gs.gap,
         "n_points": len(results),
         "non_converged": len(non_conv),

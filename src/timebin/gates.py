@@ -28,7 +28,6 @@ __all__ = [
     "orbit_unitary",
     "beamsplitter_gate",
     "number_phase_gate",
-    "linear_phase_gate",
     "apply_gate",
     "gate_matrix",
     "extend_phase_table",
@@ -42,7 +41,6 @@ class GateDescriptor:
     kinds:
       beamsplitter  params = {"theta": J*dt, "phi": hopping phase}
       number_phase  params = {"table": phase per photon count, table[0] = 0}
-      linear_phase  params = {"Phi": phase per photon}
     """
 
     kind: str
@@ -51,15 +49,15 @@ class GateDescriptor:
 
     def __post_init__(self):
         self.modes = tuple(int(m) for m in self.modes)
-        if self.kind not in ("beamsplitter", "number_phase", "linear_phase"):
+        if self.kind not in ("beamsplitter", "number_phase"):
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("gate modes must be distinct")
         if self.kind == "beamsplitter" and len(self.modes) != 2:
             raise ValueError("beamsplitter acts on two modes")
-        if self.kind in ("number_phase", "linear_phase") and len(self.modes) != 1:
-            raise ValueError("phase gates act on one mode")
         if self.kind == "number_phase":
+            if len(self.modes) != 1:
+                raise ValueError("a number-phase gate acts on one mode")
             table = np.asarray(self.params["table"], dtype=float)
             if table.size == 0 or table[0] != 0.0:
                 raise ValueError("phase table must start at phi(0) = 0")
@@ -140,16 +138,6 @@ def number_phase_gate(basis: FockBasis, i: int, phase_table) -> SectorOperator:
     return SectorOperator(basis, sp.diags(diag, format="csr"))
 
 
-def linear_phase_gate(basis: FockBasis, i: int, Phi: float) -> SectorOperator:
-    """Diagonal gate e^{i Phi n_i}; equals a number-phase gate with a linear
-    table."""
-    if not 0 <= i < basis.n_modes:
-        raise ValueError("mode index out of range")
-    occ_i = basis.occupations()[:, i]
-    diag = np.exp(1j * Phi * occ_i)
-    return SectorOperator(basis, sp.diags(diag, format="csr"))
-
-
 def gate_matrix(desc: GateDescriptor, basis: FockBasis) -> SectorOperator:
     """Concrete SectorOperator for an abstract gate descriptor."""
     if desc.kind == "beamsplitter":
@@ -157,9 +145,7 @@ def gate_matrix(desc: GateDescriptor, basis: FockBasis) -> SectorOperator:
             basis, desc.modes[0], desc.modes[1],
             desc.params["theta"], desc.params.get("phi", 0.0),
         )
-    if desc.kind == "number_phase":
-        return number_phase_gate(basis, desc.modes[0], desc.params["table"])
-    return linear_phase_gate(basis, desc.modes[0], desc.params["Phi"])
+    return number_phase_gate(basis, desc.modes[0], desc.params["table"])
 
 
 def apply_gate(state, gate: SectorOperator):

@@ -7,6 +7,13 @@ u = e^{-i eps dt} defines eps = -arg(u) / dt on the principal branch
 U = exp(-i H dt) and |E| < pi/dt.  Eigenphases within 1e-6 of the branch cut
 are flagged as aliased.
 
+Ground rule, pinned package-wide: at strong U a sector's interaction tops
+wrap below its ground on the principal branch, so ``sector_spectra`` sorts
+the labels by effective energy unwrapped, in steps of 2 pi/dt, onto the
+branch of the eigenvector's mean exact energy <v|H|v>.  ``order[0]`` is the
+sector's ground and ``order[:2]`` of sector 2 the two-photon ground doublet.
+The rule only picks labels; energies and eigenvectors keep their order.
+
 The analytic two-photon torus ground states combine a center-of-mass theta
 factor, a Gaussian in the y coordinates, and the squared odd theta function
 of the relative coordinate; a diagonal gauge map transfers them from the
@@ -22,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .fock import FockBasis, enumerate_basis
-from .lattice import LatticeModel, step_operator
+from .lattice import LatticeModel, exact_hamiltonian, step_operator
 
 __all__ = [
     "SpectralResult",
@@ -30,6 +37,7 @@ __all__ = [
     "AnalyticGroundState",
     "step_unitary",
     "effective_energies",
+    "sector_spectra",
     "ground_space",
     "jacobi_theta",
     "analytic_ground_state",
@@ -53,13 +61,21 @@ class SpectralResult:
 
 
 @dataclass
-class GroundSpace:
-    """Two lowest-energy sector eigenvectors with gap and doublet split."""
+class SectorSpectrum(SpectralResult):
+    """A sector's spectrum with its labels in ground-rule order."""
 
-    states: np.ndarray          # (dim, 2) orthonormal columns
+    order: np.ndarray           # labels by unwrapped energy, ground first
+
+
+@dataclass
+class GroundSpace:
+    """A sector's ground doublet by the ground rule and the gap above it."""
+
+    states: np.ndarray          # (dim, 2) orthonormal columns, ground first
+    energies: np.ndarray        # (2,) their effective energies
+    ground_energy: float        # eps_1
     gap: float                  # eps_3 - eps_2
     degeneracy_split: float     # eps_2 - eps_1
-    energies: np.ndarray        # full sorted energy list
 
 
 @dataclass
@@ -101,14 +117,34 @@ def effective_energies(
     )
 
 
-def ground_space(spec: SpectralResult) -> GroundSpace:
-    """Ground doublet, gap above it, and the split inside it."""
-    e = spec.energies
+def sector_spectra(model: LatticeModel, delta_t: float,
+                   basis: FockBasis) -> dict:
+    """SectorSpectrum of each sector block of one Trotter step on the basis,
+    by sector, with its labels in ground-rule order (module docstring)."""
+    step = step_operator(model, delta_t, basis)
+    h = exact_hamiltonian(model, basis).entries
+    period = 2 * np.pi / delta_t
+    spectra = {}
+    for k in basis.sectors:
+        sl = basis.sector_slice(k)
+        res = effective_energies(step[sl, sl], delta_t, sector=k)
+        v = res.eigenvectors
+        mean_h = np.real(np.sum(v.conj() * (h[sl, sl] @ v), axis=0))
+        shift = np.round((mean_h - res.energies) / period)
+        order = np.argsort(res.energies + period * shift, kind="stable")
+        spectra[k] = SectorSpectrum(**vars(res), order=order)
+    return spectra
+
+
+def ground_space(spec: SectorSpectrum) -> GroundSpace:
+    """Ground doublet of a sector by the ground rule, with its gap."""
+    e = spec.energies[spec.order[:3]]
     return GroundSpace(
-        states=spec.eigenvectors[:, :2].copy(),
+        states=np.ascontiguousarray(spec.eigenvectors[:, spec.order[:2]]),
+        energies=e[:2],
+        ground_energy=float(e[0]),
         gap=float(e[2] - e[1]),
         degeneracy_split=float(e[1] - e[0]),
-        energies=e.copy(),
     )
 
 

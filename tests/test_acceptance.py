@@ -34,6 +34,7 @@ from timebin.spectral import (
     effective_energies,
     ground_space,
     overlap_optimize,
+    sector_spectra,
     step_unitary,
 )
 from timebin.subtraction import (
@@ -56,7 +57,7 @@ def fqh():
 
 @pytest.fixture(scope="module")
 def spec2(fqh):
-    return effective_energies(step_unitary(fqh, DT, 2), DT, sector=2)
+    return sector_spectra(fqh, DT, enumerate_basis(16, {2}))[2]
 
 
 def test_criterion_1_subtraction_closed_forms():

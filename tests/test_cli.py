@@ -1,11 +1,15 @@
-"""The command-line contract: a square compile runs from the defaults, and
-a config the model cannot take exits 1 with an error line before any work."""
+"""The command-line contract: a square compile runs from the defaults, the
+spectrum reads the unwrapped ground, and a config the model cannot take
+exits 1 with an error line before any work."""
 
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from timebin import cli
+from timebin.dynamics import DriveDissChannel, DriveDissParams
+from timebin.fock import enumerate_basis
 
 
 def test_compile_square_geometry(tmp_path):
@@ -68,6 +72,16 @@ def test_compile_square_default_pitch_follows_l_x(tmp_path):
     ["incoherent", "--set", "p_ref=0"],
     ["incoherent", "--set", 'inits=["foo"]'],
     ["subtraction", "--set", 'pulses=["foo"]'],
+    # a tol no fixed point can meet
+    ["steady_state", "--set", "tol=0"],
+    ["steady_state", "--set", "tol=-1"],
+    # a coherent drive ancilla that ancilla_cut = 3 truncates
+    ["steady_state", "--set", "alpha_ratio=50"],
+    # an angle that overflows the drive channel's orbit generator
+    ["steady_state", "--set", "alpha_ratio=0", "--set", "K_dt_list=[1e308]"],
+    ["subtraction", "--set", "gamma_grid=[Infinity]"],
+    # an integer too large for a float
+    ["spectrum", "--set", "U=1" + "0" * 400],
 ])
 def test_model_errors_exit_one(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -77,3 +91,47 @@ def test_model_errors_exit_one(argv, tmp_path, capsys):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_spectrum_and_steady_state_read_the_unwrapped_ground(tmp_path):
+    # at U = 40 doublon states wrap below the FQH doublet on the principal
+    # branch (one at -10.80, with <H> = +29.2); the ground rule skips them,
+    # and the drive resonance eps_FQH / 2 follows the doublet
+    out = tmp_path / "spectrum"
+    assert cli.main(["spectrum", "--set", "U=40", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["ground_energy"] == pytest.approx(-5.578, abs=1e-3)
+    assert summary["overlap_value"] > 0.9
+    out = tmp_path / "steady"
+    argv = ["steady_state", "--set", "U=40", "--set", "omega_points=1",
+            "--set", "tol=1"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    steady = json.loads((out / "summary.json").read_text())
+    assert steady["resonance_omega"] == pytest.approx(-2.789, abs=1e-3)
+
+
+# any float, or one near the bounds the run can take
+@settings(max_examples=100, deadline=None)
+@given(
+    tol=st.floats() | st.floats(0.0, 1.0),
+    alpha_ratio=st.floats() | st.floats(-1.0, 1.0),
+    ancilla_cut=st.integers(1, 6),
+    k_dt_list=st.lists(st.floats() | st.floats(-4.0, 4.0), max_size=3),
+)
+def test_accepted_steady_configs_build_their_drive_channels(
+        tol, alpha_ratio, ancilla_cut, k_dt_list):
+    overrides = [("tol", json.dumps(tol)),
+                 ("alpha_ratio", json.dumps(alpha_ratio)),
+                 ("ancilla_cut", json.dumps(ancilla_cut)),
+                 ("K_dt_list", json.dumps(k_dt_list))]
+    try:
+        cfg = cli.load_config("steady_state", overrides=overrides)
+    except cli.ConfigError:
+        return
+    assert cfg["tol"] > 0
+    basis = enumerate_basis(16, range(cfg["n_max"] + 1))
+    for k_dt in cfg["K_dt_list"]:
+        p = DriveDissParams.from_circuit(k_dt, cfg["alpha_ratio"] * k_dt,
+                                         0.0, cfg["delta_t"])
+        for site in range(16):
+            DriveDissChannel(basis, site, p, cfg["ancilla_cut"])

@@ -10,7 +10,6 @@ from timebin.gates import (
     beamsplitter_gate,
     extend_phase_table,
     gate_matrix,
-    linear_phase_gate,
     number_phase_gate,
 )
 
@@ -71,7 +70,7 @@ def test_gates_unitary_and_number_conserving():
     for g in [
         beamsplitter_gate(b, 0, 1, 0.8, 0.5),
         number_phase_gate(b, 1, [0.0, 0.2, 1.3]),
-        linear_phase_gate(b, 2, 0.7),
+        number_phase_gate(b, 2, 0.7 * np.arange(4)),
     ]:
         assert g.is_unitary(1e-10)
         comm = g.entries @ n_tot - n_tot @ g.entries
@@ -129,21 +128,6 @@ def test_extrapolation_uses_last_increment():
     assert np.angle(g[4, 4]) == pytest.approx(1.0)
 
 
-def test_linear_phase_gate():
-    b = enumerate_basis(2, {0, 1, 2})
-    assert np.allclose(
-        linear_phase_gate(b, 0, 0.0).to_dense(), np.eye(b.dim), atol=1e-15
-    )
-    u = linear_phase_gate(b, 0, np.pi).to_dense()
-    assert u[b.index[(1, 0)], b.index[(1, 0)]] == pytest.approx(-1.0)
-    # equality with the equivalent linear table
-    nmax = max(b.sectors)
-    Phi = 0.37
-    via_table = number_phase_gate(b, 0, [Phi * n for n in range(nmax + 1)])
-    direct = linear_phase_gate(b, 0, Phi)
-    assert np.max(np.abs(via_table.to_dense() - direct.to_dense())) < 1e-14
-
-
 def test_apply_gate_state_and_density():
     rng = np.random.default_rng(7)
     b = enumerate_basis(2, {0, 1, 2})
@@ -161,7 +145,7 @@ def test_apply_gate_state_and_density():
     assert rout.trace() == pytest.approx(1.0, abs=1e-12)
     assert rout.hermiticity_defect() < 1e-12
 
-    ident = linear_phase_gate(b, 0, 0.0)
+    ident = number_phase_gate(b, 0, [0.0])
     same = apply_gate(sv, ident)
     assert np.array_equal(same.amplitudes, psi)
 

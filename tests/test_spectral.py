@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from timebin.dynamics import IncoherentProtocol
 from timebin.fock import enumerate_basis
 from timebin.lattice import build_fqh, exact_hamiltonian
 from timebin.spectral import (
@@ -11,6 +12,7 @@ from timebin.spectral import (
     ground_space,
     jacobi_theta,
     overlap_optimize,
+    sector_spectra,
     step_unitary,
 )
 
@@ -29,7 +31,7 @@ def fqh_u0():
 
 @pytest.fixture(scope="module")
 def spec2_u10(fqh_u10):
-    return effective_energies(step_unitary(fqh_u10, DT, 2), DT, sector=2)
+    return sector_spectra(fqh_u10, DT, enumerate_basis(16, {2}))[2]
 
 
 def test_step_unitary_basics(fqh_u10):
@@ -90,6 +92,17 @@ def test_ground_doublet_and_gap(spec2_u10):
     assert gs.degeneracy_split < 0.1 * gs.gap
     g = gs.states.conj().T @ gs.states
     assert np.max(np.abs(g - np.eye(2))) < 1e-9
+
+
+def test_sector_spectra_doublet_is_the_protocols():
+    # the spectrum and steady-state runs (sectors 1, 2) and the protocol
+    # (sectors 0..3) read one ground rule, so they pick one doublet
+    model = build_fqh(2, 4, 1.0, 10.0, 0.25)
+    spec2 = sector_spectra(model, DT, enumerate_basis(8, {1, 2}))[2]
+    prot = IncoherentProtocol(model, DT, chi=0.05, p_ref=0.02, n_max=3)
+    assert np.array_equal(spec2.order[:2], prot.doublet)
+    assert np.array_equal(ground_space(spec2).states,
+                          prot.sectors[2].eigenvectors[:, prot.doublet])
 
 
 def test_jacobi_theta_identities():
