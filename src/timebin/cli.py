@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import experiments
-from .dynamics import INITS, check_ancilla_cut, check_refresh
+from .dynamics import INITS, ProtocolError, check_ancilla_cut, check_refresh
 from .lattice import build_bose_hubbard, build_fqh
 
 DEFAULTS = {
@@ -199,17 +199,17 @@ def main(argv=None) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     experiments.write_manifest(args.out, args.experiment, cfg)
-    runner = RUNNERS[args.experiment]
-    if args.experiment == "steady_state":
-        summary = runner(cfg, args.out, threads=max(1, args.threads))
-        if summary["non_converged"]:
-            print(
-                f"error: {summary['non_converged']} scan points did not "
-                "converge", file=sys.stderr,
-            )
-            return 2
-    else:
-        summary = runner(cfg, args.out)
+    scan = ({"threads": max(1, args.threads)}
+            if args.experiment == "steady_state" else {})
+    try:
+        summary = RUNNERS[args.experiment](cfg, args.out, **scan)
+    except ProtocolError as exc:       # a rule only the protocol build checks
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if summary.get("non_converged"):
+        print(f"error: {summary['non_converged']} scan points did not "
+              "converge", file=sys.stderr)
+        return 2
     print(json.dumps(summary, indent=2, sort_keys=True, default=str))
     return 0
 

@@ -61,6 +61,7 @@ __all__ = [
     "fixed_point",
     "steady_state_observables",
     "IncoherentProtocol",
+    "ProtocolError",
     "INITS",
     "check_refresh",
     "check_ancilla_cut",
@@ -268,6 +269,9 @@ class CirculationChannel:
         self.model = model
         self.delta_t = delta_t
         self.basis = basis or enumerate_basis(model.n_sites, range(n_max + 1))
+        want = (model.n_sites, tuple(range(n_max + 1)))
+        if (self.basis.n_modes, self.basis.sectors) != want:
+            raise ValueError(f"need (n_modes, sectors) {want}, got {self.basis}")
         self.step = step_operator(model, delta_t, self.basis)
         # the step conserves photon number: (slice, U_k, U_k^dag) per sector
         self._blocks = []
@@ -412,6 +416,10 @@ def check_refresh(chi: float, p_ref: float):
         )
 
 
+class ProtocolError(ValueError):
+    """A protocol that only the integrator's build can reject."""
+
+
 @dataclass
 class IncoherentParams:
     """Coupling, refresh probability, and the ancilla phase-gate offsets."""
@@ -429,17 +437,17 @@ class IncoherentProtocol:
     the basis of sectors 0..n_max.  By the ground rule ``sectors[k].order[0]``
     is sector k's ground and ``doublet = sectors[2].order[:2]`` the
     two-photon ground doublet, which the phase offsets, ``reset("ground")``
-    and ``observables()`` all read; an aliased doublet raises ValueError.
+    and ``observables()`` all read.  An aliased doublet raises
+    ProtocolError, and so does a coupling under which the explicit step
+    could drive populations negative (and diverge).
     """
 
     def __init__(self, model: LatticeModel, delta_t: float, chi: float,
                  p_ref: float, n_max: int = 3):
         check_refresh(chi, p_ref)
         if n_max < 2:
-            raise ValueError(
-                "the protocol needs n_max >= 2: its ground doublet lives in "
-                "sector 2"
-            )
+            raise ValueError("the protocol needs n_max >= 2: its ground "
+                             "doublet lives in sector 2")
         self.model = model
         self.delta_t = delta_t
         self.n_max = n_max
@@ -447,10 +455,8 @@ class IncoherentProtocol:
         self.sectors = list(sector_spectra(model, delta_t, basis).values())
         self.doublet = self.sectors[2].order[:2]
         if self.sectors[2].aliased[self.doublet].any():
-            raise ValueError(
-                "the ground doublet lies on the branch cut of the effective "
-                "energies; lower delta_t"
-            )
+            raise ProtocolError("the ground doublet lies on the branch cut of "
+                                "the effective energies; lower delta_t")
         th_g = [-s.energies[s.order[0]] * delta_t for s in self.sectors]
         phi_1 = th_g[2] - th_g[1]
         phi_2 = phi_1 + (th_g[3] - th_g[2] if n_max >= 3 else 0.0)
@@ -495,6 +501,18 @@ class IncoherentProtocol:
                 np.stack([np.einsum("fi,jfi->ji", kk, m2) for kk in (k10, k21)]),
                 np.stack([np.einsum("fi,jfi->jf", kk, m2) for kk in (k10, k21)]),
             ))
+        # a sector-k state leaves up by pair k's column sums (ancilla level
+        # 1 or 2) and down by pair k-1's row sums (level 0 or 1); a step is
+        # a convex update while these sum to at most 1 for every state
+        none = np.zeros((2, 1, 1))
+        for k in range(self.n_max + 1):
+            up = self._pairs[k][3] if k < self.n_max else none
+            dn = self._pairs[k - 1][4] if k > 0 else none
+            leave = np.maximum(np.maximum(dn[0], up[0] + dn[1]), up[1]).sum(0)
+            if leave.max() > 1.0:
+                raise ProtocolError(
+                    f"a state's transfer probability per circulation reaches "
+                    f"{leave.max():.3g} > 1; lower chi * delta_t or raise p_ref")
 
     # -- state handling ------------------------------------------------------
 
@@ -559,17 +577,15 @@ class IncoherentProtocol:
         self.ancilla[:, 1] += p_ref
 
     def observables(self) -> dict:
+        """P_k per sector, ground-doublet population, mean and variance of N."""
         pk = np.array([x.sum() for x in self.populations])
-        ground = float(self.populations[2][self.doublet].sum())
         ks = np.arange(self.n_max + 1)
         n_mean = float(np.sum(ks * pk))
-        n2_mean = float(np.sum(ks**2 * pk))
         return {
-            "P0": float(pk[0]), "P1": float(pk[1]), "P2": float(pk[2]),
-            "P3": float(pk[3]) if self.n_max >= 3 else 0.0,
-            "ground_population": ground,
+            **{f"P{k}": float(p) for k, p in enumerate(pk)},
+            "ground_population": float(self.populations[2][self.doublet].sum()),
             "N_mean": n_mean,
-            "N_var": n2_mean - n_mean**2,
+            "N_var": float(np.sum(ks**2 * pk)) - n_mean**2,
         }
 
     def run(self, n_steps: int, record_every: int = 10) -> list:

@@ -43,6 +43,7 @@ from .schedule import (
 from .spectral import (
     analytic_ground_state,
     distinct_energy_count,
+    even_total_flux,
     ground_space,
     overlap_optimize,
     sector_spectra,
@@ -198,16 +199,15 @@ def run_spectrum(cfg, outdir):
         os.path.join(outdir, "energies.csv"),
         ["sector", "index", "energy", "eigenphase_re", "eigenphase_im"], rows,
     )
+    gs = ground_space(spectra[2])
     summary = {
         "delta_t": dt, "U": cfg["U"], "phi_plaq": cfg["phi_plaq"],
         "distinct_sector2": distinct_energy_count(spectra[2].energies),
+        "gap": gs.gap, "degeneracy_split": gs.degeneracy_split,
+        "ground_energy": gs.ground_energy,
     }
-    gs = ground_space(spectra[2])
-    summary.update(
-        gap=gs.gap, degeneracy_split=gs.degeneracy_split,
-        ground_energy=gs.ground_energy,
-    )
-    if cfg["U"] != 0.0:
+    # the analytic ground is the hard-core one, at an even total flux
+    if cfg["U"] != 0.0 and even_total_flux(model):
         ana = analytic_ground_state(model, 1)
         alpha, beta, value = overlap_optimize(
             ana.amplitudes, gs.states[:, 0], gs.states[:, 1]
@@ -330,7 +330,6 @@ def run_steady_state(cfg, outdir, threads: int = 1):
             for k_dt, om in jobs
         ]
     results.sort(key=lambda r: (r[1], r[0]))
-    non_conv = [r for r in results if not r[9]]
     write_csv(
         os.path.join(outdir, "steady_state.csv"),
         ["Omega_drive", "K_dt", "n_photon", "P1", "P2", "P2_over_P1",
@@ -343,7 +342,7 @@ def run_steady_state(cfg, outdir, threads: int = 1):
         "sector1_resonance": ground_space(spectra[1]).ground_energy,
         "gap": gs.gap,
         "n_points": len(results),
-        "non_converged": len(non_conv),
+        "non_converged": sum(not r[9] for r in results),
     }
     for k_dt in cfg["K_dt_list"]:
         sel = [r for r in results if r[1] == k_dt]
@@ -352,9 +351,11 @@ def run_steady_state(cfg, outdir, threads: int = 1):
         ratio = np.array([r[5] for r in sel])
         nph = np.array([r[2] for r in sel])
         key = f"Kdt_{_fmt(k_dt)}"
+        # no overlap peak (null) where no point populated two photons
+        peak = int(np.nanargmax(ovl)) if not np.isnan(ovl).all() else None
         summary[key] = {
-            "peak_overlap": float(np.nanmax(ovl)),
-            "peak_overlap_omega": float(oms[np.nanargmax(ovl)]),
+            "peak_overlap": None if peak is None else float(ovl[peak]),
+            "peak_overlap_omega": None if peak is None else float(oms[peak]),
             "peak_n_photon": float(np.max(nph)),
             "peak_n_photon_omega": float(oms[np.argmax(nph)]),
             "ratio_maxima_omegas": _local_maxima(oms, ratio),
@@ -392,18 +393,11 @@ def run_incoherent(cfg, outdir):
         protocol.reset(init)
         trace = protocol.run(cfg["n_circulations"],
                              record_every=cfg["record_every"])
-        for rec in trace:
-            rows.append((
-                init, rec["step"], rec["P0"], rec["P1"], rec["P2"],
-                rec["P3"], rec["ground_population"], rec["N_mean"],
-                rec["N_var"],
-            ))
+        rows.extend([init, *rec.values()] for rec in trace)
         finals[init] = trace[-1]
-    write_csv(
-        os.path.join(outdir, "incoherent_trace.csv"),
-        ["init", "step", "P0", "P1", "P2", "P3", "ground_population",
-         "N_mean", "N_var"], rows,
-    )
+    # the run's records: step, then the observables (one P_k per sector)
+    write_csv(os.path.join(outdir, "incoherent_trace.csv"),
+              ["init", "step", *protocol.observables()], rows)
     summary = {
         "chi": cfg["chi"], "p_ref": cfg["p_ref"],
         "phi_1": protocol.params.phi_1, "phi_2": protocol.params.phi_2,

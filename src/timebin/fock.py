@@ -1,31 +1,32 @@
 """Fock-sector bases, states, and sparse ladder operators for multimode bosons.
 
-All bases enumerate occupation-number states of ``n_modes`` bosonic modes
-restricted to one or more total-photon sectors.  Ordering is deterministic:
-sectors ascending, occupations lexicographic within each sector.  Everything
-here is immutable after construction and safe to share across threads.
+A basis is fully determined by ``n_modes`` and its total-photon
+``sectors``; its states are one cached, read-only (dim, n_modes) array of
+occupations, sectors ascending and lexicographic within each sector.
+Everything here is immutable after construction and safe to share across
+threads.
 
-Every operator that moves photons between modes is built by one builder,
-``FockBasis.transfer``: the caller edits a copy of rows of the cached,
-read-only (dim, n_modes) occupations array, and ``transfer`` maps the
-edited rows back to basis indices with ``FockBasis.rank`` and places the
-matrix elements.  Source and target share the one basis: an operator
-between sectors, such as b^dag from sector k into k+1, is the
-``[sector_slice(k + 1), sector_slice(k)]`` block of the operator built on
-a basis holding both.  A row's rank is its sector's offset plus its
-lexicographic position inside the sector, which the combinatorial number
-system gives in closed form (Streltsov, Alon & Cederbaum, PRA 81, 022124
-(2010)):
+``FockBasis.rank`` is the one index from occupation rows back to basis
+indices: a row's sector offset plus its lexicographic position inside the
+sector, which the combinatorial number system gives in closed form
+(Streltsov, Alon & Cederbaum, PRA 81, 022124 (2010)):
 
     position = sum_p C(r_p + m_p, m_p) - C(r_{p+1} + m_p, m_p)
 
-with r_p the photons in modes p..n-1 and m_p = n - 1 - p.
+with r_p the photons in modes p..n-1 and m_p = n - 1 - p.  Every operator
+that moves photons between modes is built by ``FockBasis.transfer``: the
+caller edits a copy of rows of the occupations array, and ``transfer``
+ranks them and places the matrix elements.  An operator between sectors,
+such as b^dag from sector k into k+1, is the
+``[sector_slice(k + 1), sector_slice(k)]`` block of the operator built on
+a basis holding both.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,56 +48,59 @@ def sector_dimension(n_modes: int, k: int) -> int:
     return math.comb(n_modes + k - 1, k)
 
 
-def _compositions(n_modes, total):
-    """All occupation tuples of length n_modes summing to total, lexicographic."""
-    if n_modes == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(n_modes - 1, total - first):
-            yield (first,) + rest
+def _sector_blocks(n_modes: int, k_max: int) -> list:
+    """Lexicographic occupations of n_modes modes summing to k, for each
+    k = 0..k_max.  Adding a mode in front, the k block stacks the column c
+    beside the k - c block of the modes after it, for c = 0..k."""
+    blocks = [np.full((1, 1), k) for k in range(k_max + 1)]
+    for _ in range(n_modes - 1):
+        blocks = [
+            np.vstack([
+                np.column_stack((np.full(len(blocks[k - c]), c), blocks[k - c]))
+                for c in range(k + 1)
+            ])
+            for k in range(k_max + 1)
+        ]
+    return blocks
 
 
 @dataclass
 class FockBasis:
-    """Ordered basis of occupation-number states over fixed photon sectors.
-
-    Attributes
-    ----------
-    n_modes : int
-        Number of bosonic modes.
-    sectors : tuple of int
-        Total photon numbers included, ascending.
-    states : tuple of tuple of int
-        Occupation vectors, sectors ascending then lexicographic.
-    index : dict
-        Occupation vector -> dense index (bijective).
-    """
+    """Ordered basis of the occupations of ``n_modes`` bosonic modes over
+    the total photon numbers ``sectors`` (any iterable of integers, stored
+    as an ascending tuple).  Bases with equal inputs are equal."""
 
     n_modes: int
     sectors: tuple
-    states: tuple
-    index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.index = {occ: i for i, occ in enumerate(self.states)}
-        self._occ = np.array(self.states, dtype=int)
-        self._occ.flags.writeable = False
+        sectors = sorted(set(self.sectors))
+        if not (self.n_modes >= 1 and sectors and sectors[0] >= 0
+                and all(k == int(k) for k in sectors)):
+            raise ValueError("need n_modes >= 1 and nonempty integer sectors "
+                             f">= 0, got {self.n_modes} and {sectors}")
+        self.sectors = tuple(int(k) for k in sectors)
+        k_max = self.sectors[-1]
+        blocks = _sector_blocks(self.n_modes, k_max)
+        self._occ = np.vstack([blocks[k] for k in self.sectors])
+        self._totals = self._occ.sum(axis=1)
+        self._occ.flags.writeable = self._totals.flags.writeable = False
         # rank tables: _binom[r, m] = C(r + m, m), and _offsets[k] = the
         # first index of sector k (states are sorted by total)
-        self._binom = np.array(
-            [[math.comb(r + m, m) for m in range(self.n_modes)]
-             for r in range(max(self.sectors) + 1)],
-            dtype=np.int64,
-        )
-        self._offsets = np.zeros(max(self.sectors) + 1, dtype=np.int64)
-        self._offsets[list(self.sectors)] = np.searchsorted(
-            self.totals(), self.sectors
-        )
+        self._binom = np.array([[math.comb(r + m, m) for m in range(self.n_modes)]
+                                for r in range(k_max + 1)], dtype=np.int64)
+        self._offsets = np.zeros(k_max + 1, dtype=np.int64)
+        self._offsets[list(self.sectors)] = np.searchsorted(self._totals,
+                                                            self.sectors)
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self._occ)
+
+    @functools.cached_property
+    def index(self) -> dict:
+        """Occupation tuple -> index, built on first access (see rank)."""
+        return {occ: i for i, occ in enumerate(map(tuple, self._occ.tolist()))}
 
     def sector_slice(self, k: int) -> slice:
         """Contiguous index range of the k-photon sector."""
@@ -106,8 +110,8 @@ class FockBasis:
         return slice(start, start + sector_dimension(self.n_modes, k))
 
     def totals(self) -> np.ndarray:
-        """Total photon number of each basis state."""
-        return self._occ.sum(axis=1)
+        """Total photon number of each basis state, built once, read-only."""
+        return self._totals
 
     def occupations(self) -> np.ndarray:
         """(dim, n_modes) integer array of all occupation vectors, built once
@@ -153,17 +157,7 @@ def enumerate_basis(n_modes: int, sectors) -> FockBasis:
     Ordering is sectors ascending, occupations lexicographic within a sector,
     so indices (and downstream eigenvector phases) are reproducible.
     """
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    sectors = tuple(sorted(set(int(k) for k in sectors)))
-    if not sectors:
-        raise ValueError("sectors must be nonempty")
-    if sectors[0] < 0:
-        raise ValueError("sectors must be >= 0")
-    states = []
-    for k in sectors:
-        states.extend(_compositions(n_modes, k))
-    return FockBasis(n_modes=n_modes, sectors=sectors, states=tuple(states))
+    return FockBasis(n_modes, sectors)
 
 
 @dataclass
@@ -227,8 +221,6 @@ class SectorOperator:
     def conserves_number(self, tol: float = 1e-10) -> bool:
         n_tot = self.basis.totals()
         c = self.entries.tocoo()
-        if c.nnz == 0:
-            return True
         mism = n_tot[c.row] != n_tot[c.col]
         return not np.any(np.abs(c.data[mism]) > tol)
 
@@ -261,8 +253,9 @@ def ladder_operator(basis: FockBasis, mode: int, kind: str) -> SectorOperator:
 def product_fock_state(basis: FockBasis, occupation) -> StateVector:
     """Unit basis vector at the given occupation."""
     occ = tuple(int(n) for n in occupation)
-    if occ not in basis.index:
+    i = basis.rank([occ])[0]
+    if i < 0:
         raise KeyError(f"occupation {occ} not in basis")
     amps = np.zeros(basis.dim, dtype=complex)
-    amps[basis.index[occ]] = 1.0
+    amps[i] = 1.0
     return StateVector(basis, amps)

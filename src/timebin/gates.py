@@ -67,14 +67,9 @@ def extend_phase_table(table, n_max: int) -> np.ndarray:
     """Phase values for n = 0..n_max, linear in the last increment beyond
     the table."""
     table = np.asarray(table, dtype=float)
-    if n_max < len(table):
-        return table[: n_max + 1].copy()
-    out = np.empty(n_max + 1)
-    out[: len(table)] = table
     slope = table[-1] - table[-2] if len(table) >= 2 else 0.0
     extra = np.arange(1, n_max - len(table) + 2)
-    out[len(table):] = table[-1] + slope * extra
-    return out
+    return np.concatenate((table[: n_max + 1], table[-1] + slope * extra))
 
 
 def orbit_unitary(theta: float, phi: float, s: int, lo: int,
@@ -150,13 +145,11 @@ def gate_matrix(desc: GateDescriptor, basis: FockBasis) -> SectorOperator:
 
 def apply_gate(state, gate: SectorOperator):
     """U|psi> for StateVector input, U rho U^dag for DensityMatrix input."""
+    if not isinstance(state, (StateVector, DensityMatrix)):
+        raise TypeError(f"cannot apply gate to {type(state).__name__}")
+    if state.basis != gate.basis:
+        raise ValueError("basis mismatch between state and gate")
+    u = gate.entries
     if isinstance(state, StateVector):
-        if state.basis is not gate.basis and state.basis.states != gate.basis.states:
-            raise ValueError("basis mismatch between state and gate")
-        return StateVector(state.basis, gate.entries @ state.amplitudes)
-    if isinstance(state, DensityMatrix):
-        if state.basis is not gate.basis and state.basis.states != gate.basis.states:
-            raise ValueError("basis mismatch between state and gate")
-        u = gate.entries
-        return DensityMatrix(state.basis, u @ state.matrix @ u.conj().T.tocsr())
-    raise TypeError(f"cannot apply gate to {type(state).__name__}")
+        return StateVector(state.basis, u @ state.amplitudes)
+    return DensityMatrix(state.basis, u @ state.matrix @ u.conj().T.tocsr())

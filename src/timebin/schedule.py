@@ -108,14 +108,10 @@ def _window(t: Fraction, width: Fraction, phi: float):
 def _coincidences(layout, delays, wg_a, wg_b):
     """(site_a, site_b, time) triples with equal arrival, modulo the period."""
     period = layout.period
-    arr_a = [
-        (s, layout.bin_assignment[s][1] + delays[wg_a])
-        for s in layout.sites_on(wg_a)
-    ]
-    arr_b = [
-        (s, layout.bin_assignment[s][1] + delays[wg_b])
-        for s in layout.sites_on(wg_b)
-    ]
+    arr_a, arr_b = (
+        [(s, layout.bin_assignment[s][1] + delays[wg]) for s in layout.sites_on(wg)]
+        for wg in (wg_a, wg_b)
+    )
     _check_collisions(arr_a, period, wg_a)
     _check_collisions(arr_b, period, wg_b)
     out = []

@@ -41,6 +41,7 @@ __all__ = [
     "ground_space",
     "jacobi_theta",
     "analytic_ground_state",
+    "even_total_flux",
     "overlap_optimize",
     "distinct_energy_count",
 ]
@@ -178,6 +179,13 @@ def jacobi_theta(a: float, b: float, z: complex, tau: complex) -> complex:
     return complex(np.sum(np.exp(exponent)))
 
 
+def even_total_flux(model: LatticeModel) -> bool:
+    """Whether the torus holds the even flux two analytic photons need."""
+    nx, ny = model.shape
+    half = model.phi_plaq * nx * ny / 2
+    return abs(half - round(half)) <= 1e-12
+
+
 def analytic_ground_state(model: LatticeModel, l: int) -> AnalyticGroundState:
     """Torus two-photon ground-state wavefunction on the sector-2 basis.
 
@@ -197,11 +205,10 @@ def analytic_ground_state(model: LatticeModel, l: int) -> AnalyticGroundState:
     """
     if model.geometry != "square":
         raise ValueError("analytic ground state requires a square torus")
+    if not even_total_flux(model):
+        raise ValueError("total flux must be even for a two-photon ground state")
     nx, ny = model.shape
     phi = model.phi_plaq
-    phi_entire = phi * nx * ny
-    if abs(phi_entire / 2 - round(phi_entire / 2)) > 1e-12:
-        raise ValueError("total flux must be even for a two-photon ground state")
     if l not in (1, 2):
         raise ValueError("l must be 1 or 2")
     basis = enumerate_basis(model.n_sites, {2})
@@ -221,9 +228,8 @@ def analytic_ground_state(model: LatticeModel, l: int) -> AnalyticGroundState:
         return cm * gauss * rel * gauge
 
     amps = np.zeros(basis.dim, dtype=complex)
-    for k, occ in enumerate(basis.states):
-        sites = [m for m, n in enumerate(occ) for _ in range(n)]
-        i, j = sites
+    for k, occ in enumerate(basis.occupations().tolist()):
+        i, j = [m for m, n in enumerate(occ) for _ in range(n)]
         value = first_quantized(i, j)
         # two-photon Fock amplitude: sqrt(2) psi(r_i, r_j) off the diagonal,
         # psi(r, r) on it (zero anyway for the hard-core zero)

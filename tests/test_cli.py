@@ -1,11 +1,15 @@
 """The command-line contract: a square compile runs from the defaults, the
-spectrum reads the unwrapped ground, and a config the model cannot take
-exits 1 with an error line before any work."""
+spectrum reads the unwrapped ground, a config the model cannot take exits 1
+with an error line before any work, and no config ends in a traceback."""
 
+import contextlib
+import csv
+import io
 import json
+import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from timebin import cli
 from timebin.dynamics import DriveDissChannel, DriveDissParams
@@ -111,7 +115,7 @@ def test_spectrum_and_steady_state_read_the_unwrapped_ground(tmp_path):
 
 
 # any float, or one near the bounds the run can take
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     tol=st.floats() | st.floats(0.0, 1.0),
     alpha_ratio=st.floats() | st.floats(-1.0, 1.0),
@@ -135,3 +139,129 @@ def test_accepted_steady_configs_build_their_drive_channels(
                                          0.0, cfg["delta_t"])
         for site in range(16):
             DriveDissChannel(basis, site, p, cfg["ancilla_cut"])
+
+
+def test_scan_without_two_photons_reports_no_overlap_peak(tmp_path):
+    # with no drive (alpha = 0 or K_dt = 0) the steady state is the vacuum,
+    # so no point has an overlap and the summary names no peak
+    for name, override in (("alpha0", "alpha_ratio=0"),
+                           ("kdt0", "K_dt_list=[0.0]")):
+        out = tmp_path / name
+        argv = ["steady_state", "--set", override, "--set", "omega_points=1"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        (point,) = [v for k, v in summary.items() if k.startswith("Kdt_")]
+        assert point["peak_overlap"] is None
+        assert point["peak_overlap_omega"] is None
+        assert point["peak_n_photon"] == 0.0
+
+
+def test_odd_flux_spectrum_skips_the_analytic_overlap(tmp_path):
+    # one flux quantum on the 2x2 torus: the spectrum is written, but there
+    # is no two-photon analytic ground to compare with
+    out = tmp_path / "odd"
+    argv = ["spectrum", "--set", "N_x=2", "--set", "N_y=2",
+            "--set", "phi_plaq=0.25"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert "gap" in summary and "overlap_value" not in summary
+
+
+def test_protocol_trace_holds_every_sector(tmp_path):
+    # at n_max = 4 the trace has P0..P4, and each row sums to one
+    out = tmp_path / "nmax4"
+    argv = ["incoherent", "--set", "N_x=2", "--set", "N_y=2",
+            "--set", "n_max=4", "--set", "n_circulations=2000",
+            "--set", "record_every=500"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    with open(out / "incoherent_trace.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0])[2:7] == ["P0", "P1", "P2", "P3", "P4"]
+    assert len(rows) == 10
+    for row in rows:
+        total = sum(float(row[f"P{k}"]) for k in range(5))
+        assert total == pytest.approx(1.0, abs=1e-12)
+
+
+# --set values per experiment on small lattices, short scans and few
+# circulations: each pool mixes values the run takes with ones it rejects.
+# subtraction has no lattice to shrink: every run derives the gamma = 4000
+# square pulse for its summary (about 1 s), so its rules are left to
+# test_model_errors_exit_one
+FUZZ_VALUES = {
+    "quench": {
+        "N_x": [1, 2, 3, 5], "U": [0.0, 10.0, -3.0],
+        "delta_t": [0.2, 2.0, -0.1], "total_time": [0.0, 0.4, -1.0],
+        "boundary": ["open", "periodic", "foo"],
+    },
+    "spectrum": {
+        "N_x": [1, 2, 3], "N_y": [1, 2, 3], "U": [0.0, 10.0, 40.0],
+        "phi_plaq": [0.0, 0.25, 0.5, 1 / 3, 0.3, -0.25],
+        "delta_t": [0.25, 3.0, 1e-3],
+        "sectors": [[1, 2], [2], [0, 2, 3], [1], []],
+    },
+    "steady_state": {
+        "N_x": [1, 2], "N_y": [2], "U": [0.0, 10.0],
+        "phi_plaq": [0.0, 0.25, 0.5], "delta_t": [0.25, 3.0],
+        "K_dt_list": [[0.1], [0.0], [0.1, 0.5], [], [4.0]],
+        "alpha_ratio": [0.0, 0.1, 3.0], "omega_points": [1, 2],
+        "omega_min": [-2.85, 0.0], "n_max": [1, 2, 3],
+        "ancilla_cut": [1, 2, 3], "tol": [1e-2, 0.0],
+    },
+    "incoherent": {
+        "N_x": [1, 2], "N_y": [2], "U": [0.0, 10.0],
+        "phi_plaq": [0.0, 0.25, 0.5], "delta_t": [0.25, 3.0],
+        "chi": [0.0, 0.048, 5.0], "p_ref": [0.0, 0.01, 1.0],
+        "n_max": [1, 2, 3, 4], "n_circulations": [1, 7],
+        "record_every": [1, 3, 50], "inits": [["vacuum"], ["ground"], []],
+    },
+    "compile": {
+        "geometry": ["chain", "square"], "N_x": [2, 3, 4, 6],
+        "N_y": [2, 4], "phi_plaq": [0.0, 0.25], "delta_t": [0.2, 5.0],
+        "variant": ["even_simple", "general", "foo"], "l_x": [0, 1, 2],
+        "l_y": [None, 1, 3, 5],
+    },
+}
+# keys a drawn config always sets, so no run falls back to a large default
+FUZZ_FIXED = {
+    "quench": {}, "spectrum": {"N_x": 2, "N_y": 2}, "compile": {},
+    "steady_state": {"N_x": 2, "N_y": 2, "omega_points": 1},
+    "incoherent": {"N_x": 2, "N_y": 2, "n_circulations": 3},
+}
+
+
+@st.composite
+def cli_configs(draw):
+    experiment = draw(st.sampled_from(sorted(FUZZ_VALUES)))
+    pools = FUZZ_VALUES[experiment]
+    cfg = dict(FUZZ_FIXED[experiment])
+    for key in draw(st.lists(st.sampled_from(sorted(pools)), unique=True)):
+        cfg[key] = draw(st.sampled_from(pools[key]))
+    return experiment, cfg
+
+
+@settings(max_examples=100)
+@given(cli_configs())
+# a scan whose points never hold two photons, an odd total flux, and a
+# coupling the protocol's explicit step cannot take (chi dt = 1.25)
+@example(("steady_state", {"N_x": 2, "N_y": 2, "omega_points": 1,
+                           "alpha_ratio": 0.0}))
+@example(("spectrum", {"N_x": 2, "N_y": 2, "phi_plaq": 0.25}))
+@example(("incoherent", {"N_x": 2, "N_y": 2, "n_circulations": 3,
+                         "chi": 5.0}))
+def test_cli_fuzz_exits_cleanly(config):
+    # every --set config ends in exit 0, 1 or 2, with an error line for the
+    # nonzero codes, and never in an exception
+    experiment, cfg = config
+    argv = [experiment]
+    for key, value in cfg.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = cli.main(argv + ["--out", tmp + "/out"])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc:
+        assert err.getvalue().startswith("error:")

@@ -110,7 +110,7 @@ def test_kraus_trace_preserving(small_basis):
         assert ch.kraus_defect() < 1e-12
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     n_modes=st.integers(1, 4), n_max=st.integers(0, 3),
     cut=st.integers(3, 4), k_dt=st.floats(0.0, 0.3),
@@ -223,6 +223,15 @@ def test_zero_params_is_pure_hamiltonian_step(small_model, small_basis):
     rho = random_density(small_basis.dim, 4)
     expected = ch.step @ rho @ ch.step.conj().T
     assert np.max(np.abs(ch(rho) - expected)) < 1e-12
+
+
+def test_channel_rejects_a_basis_off_its_sectors(small_model, small_basis):
+    # the basis must be the model's sites over sectors 0..n_max
+    p = DriveDissParams.from_circuit(0.1, 0.01, 0.0, 0.25)
+    for n_max, basis in ((3, small_basis), (2, enumerate_basis(4, {0, 2})),
+                         (2, enumerate_basis(5, range(3)))):
+        with pytest.raises(ValueError):
+            CirculationChannel(small_model, 0.25, p, n_max=n_max, basis=basis)
 
 
 def test_per_kraus_path_matches_fused(monkeypatch):
@@ -415,6 +424,14 @@ def test_protocol_rejects_an_aliased_doublet(small_model, monkeypatch):
         IncoherentProtocol(small_model, 0.25, chi=0.05, p_ref=0.02, n_max=3)
 
 
+def test_protocol_rejects_a_coupling_its_step_cannot_take(small_model):
+    # at chi dt = 1.25 a circulation would move more than all of a state's
+    # population; the default coupling stays far below that
+    with pytest.raises(dynamics.ProtocolError, match="> 1"):
+        IncoherentProtocol(small_model, 0.25, chi=5.0, p_ref=0.01, n_max=3)
+    IncoherentProtocol(small_model, 0.25, chi=0.048, p_ref=0.01, n_max=3)
+
+
 def test_protocol_refresh_limit(small_model):
     prot = IncoherentProtocol(small_model, 0.25, chi=0.05, p_ref=1.0, n_max=3)
     prot.reset("vacuum")
@@ -456,6 +473,20 @@ def test_protocol_populations_stay_normalized(small_protocol):
     assert all(np.all(x > -1e-12) for x in prot.populations)
     assert np.all(prot.ancilla > -1e-12)
     assert np.max(np.abs(prot.ancilla.sum(axis=1) - 1)) < 1e-9
+
+
+def test_protocol_reports_every_sector_population(small_model):
+    # n_max = 4 reports P0..P4, which sum to one as the populations do
+    prot = IncoherentProtocol(small_model, 0.25, chi=0.05, p_ref=0.02,
+                              n_max=4)
+    prot.reset("ground")
+    for _ in range(200):
+        prot.step()
+    obs = prot.observables()
+    pk = [obs[f"P{k}"] for k in range(5)]
+    assert "P5" not in obs and obs["P4"] > 0
+    assert sum(pk) == pytest.approx(1.0, abs=1e-9)
+    assert obs["N_mean"] == pytest.approx(sum(k * p for k, p in enumerate(pk)))
 
 
 def test_incoherent_step_unitary_limit(small_model):
@@ -565,7 +596,7 @@ def small_oracle_rates(small_protocol):
     return oracle_rates(small_protocol)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     hnp.arrays(float, 1 + 4 + 10 + 20, elements=st.floats(0.0, 1.0)),
     hnp.arrays(float, (4, 3), elements=st.floats(0.0, 1.0)),

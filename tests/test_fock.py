@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from timebin.fock import (
     DensityMatrix,
+    FockBasis,
     enumerate_basis,
     ladder_operator,
     product_fock_state,
@@ -14,9 +16,15 @@ from timebin.fock import (
 )
 
 
+def position(b, occ):
+    """Index of an occupation in the enumeration by linear search, an
+    oracle independent of rank."""
+    return b.occupations().tolist().index([int(n) for n in occ])
+
+
 def test_single_mode_two_sectors():
     b = enumerate_basis(1, {0, 1})
-    assert b.states == ((0,), (1,))
+    assert b.occupations().tolist() == [[0], [1]]
     assert b.dim == 2
 
 
@@ -38,13 +46,18 @@ def test_union_of_sectors():
 
 def test_ordering_sectors_ascending_then_lex():
     b = enumerate_basis(2, {1, 0, 2})
-    assert b.states == ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))
+    assert b.occupations().tolist() == [
+        [0, 0], [0, 1], [1, 0], [0, 2], [1, 1], [2, 0]]
 
 
 def test_index_roundtrip():
+    # the lazily built tuple lookup agrees with rank on every state
     b = enumerate_basis(3, {0, 1, 2, 3})
-    for i, occ in enumerate(b.states):
-        assert b.index[occ] == i
+    occ = b.occupations()
+    assert len(b.index) == b.dim
+    for i, row in enumerate(occ.tolist()):
+        assert b.index[tuple(row)] == i
+    assert np.array_equal(b.rank(occ), [b.index[tuple(r)] for r in occ.tolist()])
 
 
 small_bases = st.builds(
@@ -52,7 +65,21 @@ small_bases = st.builds(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
+@given(st.integers(1, 6), st.sets(st.integers(0, 4), min_size=1))
+def test_occupations_match_an_itertools_oracle(n_modes, sectors):
+    # sectors ascending; inside a sector, itertools.product order is the
+    # lexicographic one
+    want = [occ for k in sorted(sectors)
+            for occ in itertools.product(range(k + 1), repeat=n_modes)
+            if sum(occ) == k]
+    b = enumerate_basis(n_modes, sectors)
+    assert b.occupations().tolist() == [list(occ) for occ in want]
+    assert b.totals().tolist() == [sum(occ) for occ in want]
+    assert b.dim == len(want)
+
+
+@settings(max_examples=60)
 @given(small_bases)
 def test_rank_inverts_enumeration(b):
     occ = b.occupations()
@@ -60,11 +87,11 @@ def test_rank_inverts_enumeration(b):
     assert np.array_equal(b.rank(occ), np.arange(b.dim))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(small_bases, st.data())
 def test_rank_of_arbitrary_rows(b, data):
     # rows with a negative entry or a total outside the sectors rank to -1;
-    # every other row ranks to its index in the dict lookup
+    # every other row ranks to its position in the enumeration
     row = st.lists(st.integers(-2, 5), min_size=b.n_modes, max_size=b.n_modes)
     rows = np.array(data.draw(st.lists(row, min_size=1, max_size=20)))
     got = b.rank(rows)
@@ -72,7 +99,7 @@ def test_rank_of_arbitrary_rows(b, data):
         if min(r) < 0 or sum(r) not in b.sectors:
             assert i == -1
         else:
-            assert i == b.index[tuple(int(n) for n in r)]
+            assert i == position(b, r)
 
 
 def test_rejects_bad_arguments():
@@ -82,19 +109,31 @@ def test_rejects_bad_arguments():
         enumerate_basis(2, set())
     with pytest.raises(ValueError):
         enumerate_basis(2, {-1, 0})
+    with pytest.raises(ValueError):
+        enumerate_basis(3, [2.5])
+
+
+def test_basis_is_its_modes_and_sectors():
+    # equal inputs give equal bases; the derived arrays are read-only
+    b = enumerate_basis(3, [2, 0, 2])
+    assert b == FockBasis(3, (0, 2))
+    assert b != enumerate_basis(3, {0, 1, 2})
+    assert b != enumerate_basis(4, {0, 2})
+    assert not b.totals().flags.writeable
+    assert b.totals() is b.totals()
 
 
 def test_number_operator_diagonal():
     b = enumerate_basis(1, {0, 3})
     n = ladder_operator(b, 0, "number").to_dense()
-    assert n[b.index[(0,)], b.index[(0,)]] == 0
-    assert n[b.index[(3,)], b.index[(3,)]] == 3
+    assert n[position(b, [0]), position(b, [0])] == 0
+    assert n[position(b, [3]), position(b, [3])] == 3
 
 
 def test_create_matrix_element():
     b = enumerate_basis(1, {0, 1, 2})
     bdag = ladder_operator(b, 0, "create").to_dense()
-    assert bdag[b.index[(2,)], b.index[(1,)]] == pytest.approx(math.sqrt(2))
+    assert bdag[position(b, [2]), position(b, [1])] == pytest.approx(math.sqrt(2))
 
 
 def test_commutator_on_truncated_single_mode():
@@ -144,7 +183,7 @@ def test_sector_restriction_drops_out_of_basis_targets():
 
 def test_transfer_between_bases_matches_ladder_block():
     # b+ on mode 2 placed by transfer on the joint sector-1,2 basis: the
-    # 2 <- 1 block holds sqrt(n_2 + 1) at the dict index of each raised
+    # 2 <- 1 block holds sqrt(n_2 + 1) at the position of each raised
     # state, and the targets of sector-2 columns (in sector 3) are dropped
     both = enumerate_basis(3, {1, 2})
     target = both.occupations().copy()
@@ -154,7 +193,7 @@ def test_transfer_between_bases_matches_ladder_block():
     want = np.zeros((both.dim, both.dim))
     lo = both.sector_slice(1)
     for col in range(lo.start, lo.stop):
-        want[both.index[tuple(target[col])], col] = np.sqrt(target[col, 2])
+        want[position(both, target[col]), col] = np.sqrt(target[col, 2])
     assert np.array_equal(bdag, want)
     assert np.array_equal(bdag, ladder_operator(both, 2, "create").to_dense())
     # on the sector-1 basis alone every target leaves the basis
@@ -174,7 +213,7 @@ def test_product_fock_state():
     occ[3] = occ[4] = 1
     psi = product_fock_state(b, occ)
     assert psi.norm() == pytest.approx(1.0)
-    assert psi.amplitudes[b.index[tuple(occ)]] == 1.0
+    assert psi.amplitudes[position(b, occ)] == 1.0
     with pytest.raises(KeyError):
         product_fock_state(b, [1] + [0] * 7)
 

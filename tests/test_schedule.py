@@ -109,7 +109,7 @@ def test_2d_equivalence_with_gauge():
     assert fired == edges
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(
     N_x=st.sampled_from([2, 4, 6]), N_y=st.sampled_from([2, 4, 6]),
     l_x=st.sampled_from([1, 2]), extra=st.sampled_from([1, 2]),
@@ -145,7 +145,7 @@ def test_2d_two_site_axis_with_flux(N_x, N_y):
     assert equal and dist < 1e-10
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(data=st.data(), two_d=st.booleans())
 def test_serialize_parse_roundtrip_certifies(data, two_d):
     # the text form restores the layout and every event exactly, two-site

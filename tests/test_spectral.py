@@ -131,7 +131,7 @@ def test_jacobi_theta_against_series_resummation():
 def test_analytic_state_hard_core_zero_and_symmetry(fqh_u10):
     ana = analytic_ground_state(fqh_u10, 1)
     basis = ana.basis
-    for k, occ in enumerate(basis.states):
+    for k, occ in enumerate(basis.occupations()):
         if max(occ) == 2:
             assert abs(ana.amplitudes[k]) < 1e-9
     assert np.linalg.norm(ana.amplitudes) == pytest.approx(1.0)
