@@ -14,7 +14,12 @@ import sys
 
 from . import experiments
 from .dynamics import INITS, ProtocolError, check_ancilla_cut, check_refresh
+from .fock import sector_dimension
 from .lattice import build_bose_hubbard, build_fqh
+
+# largest Fock basis a lattice run may build: its dense complex step is
+# then at most 4096^2 * 16 B = 256 MiB
+MAX_BASIS_STATES = 4096
 
 DEFAULTS = {
     "quench": {
@@ -136,6 +141,19 @@ def validate_config(experiment: str, cfg: dict):
         if any(v not in names for v in cfg.get(key, [])):
             raise ConfigError(f"{key}: pick from {list(names)}, "
                               f"got {cfg[key]!r}")
+    # bound the Fock basis a lattice run builds before its model, which a
+    # huge lattice would take long to build: sectors 0..n_max hold
+    # C(n_sites + n_max, n_max) states (1 for compile and subtraction)
+    n_sites = cfg.get("N_x", 1) * cfg.get("N_y", 1)
+    if experiment == "spectrum":
+        dim = sum(sector_dimension(n_sites, k) for k in set(cfg["sectors"]))
+    elif experiment == "quench":
+        dim = sector_dimension(n_sites, 2)
+    else:
+        dim = sector_dimension(n_sites + 1, cfg.get("n_max", 0))
+    if dim > MAX_BASIS_STATES:
+        raise ConfigError(f"the run's Fock basis exceeds {MAX_BASIS_STATES} "
+                          "states; lower the sectors, n_max or lattice size")
     # build the model (and a compile's layout) the run will build, and
     # check the protocol's refresh rule and the drive ancilla's truncation,
     # so a config the lattice, schedule or channel rules reject fails here

@@ -21,11 +21,13 @@ application.
 Single-photon-ancilla protocol.  Each site owns a persistent ancilla,
 refreshed to one photon with probability p_ref per circulation.  The exact
 joint state of system plus sixteen ancillas is out of reach, so the
-protocol is integrated as its weak-coupling collision limit: populations
-over step-unitary eigenstates, one occupancy distribution per ancilla, and
-per-circulation transfer rates
+protocol is integrated as its weak-coupling collision limit: one population
+per degenerate manifold of the step unitary (the degeneracy rule of
+``spectral``), one occupancy distribution per ancilla, and per-circulation
+transfer rates between manifolds I and F
 
-    rate = sin^2(chi dt) q |<f| b_j^(dag) |i>|^2 S(Delta),
+    rate = sin^2(chi dt) q W_j[F, I] S(Delta),
+    W_j[F, I] = sum_{f in F, i in I} |<f| b_j^(dag) |i>|^2 = Tr(P_F b_j^dag P_I b_j),
     S(Delta) = (1 - s^2) / (1 - 2 s cos Delta + s^2),      s = 1 - p_ref
 
 where Delta is the per-circulation phase mismatch between the two branches
@@ -34,8 +36,10 @@ difference) and S is the renewal-reward sum of the coherent amplitude
 accumulated between refresh events.  The phase-gate offsets make the
 vacuum -> ground ladder and the three-photon -> two-photon recovery exactly
 resonant, which is what funnels population into the two-photon ground
-space.  Which step eigenstate is a sector's ground, and which two form the
-two-photon ground doublet, is the ground rule of ``spectral``.
+space.  Each manifold's state is taken proportional to its projector, the
+secular approximation over manifolds, so W_j and the answer do not depend
+on which eigenvectors span a manifold.  Which manifold holds a sector's
+ground is the ground rule of ``spectral``.
 """
 
 from __future__ import annotations
@@ -434,12 +438,15 @@ class IncoherentProtocol:
     """Collision-limit integrator for the single-photon-ancilla protocol.
 
     ``sectors[k]`` is the ``spectral.sector_spectra`` result of sector k on
-    the basis of sectors 0..n_max.  By the ground rule ``sectors[k].order[0]``
-    is sector k's ground and ``doublet = sectors[2].order[:2]`` the
-    two-photon ground doublet, which the phase offsets, ``reset("ground")``
-    and ``observables()`` all read.  An aliased doublet raises
-    ProtocolError, and so does a coupling under which the explicit step
-    could drive populations negative (and diverge).
+    the basis of sectors 0..n_max, and ``populations[k][m]`` the population
+    per state of its manifold ``sectors[k].manifolds[m]``, of ``sizes[k][m]``
+    states.  Manifolds are in ground-rule order, so manifold 0 holds sector
+    k's ground, and ``doublet`` indexes the lowest sector-2 manifolds that
+    together hold the two states of the two-photon ground doublet.  The
+    phase offsets, ``reset("ground")`` and ``observables()`` all read them.
+    A doublet that no run of lowest manifolds fills exactly, an aliased
+    doublet, and a coupling under which the explicit step could drive
+    populations negative (and diverge) raise ProtocolError.
     """
 
     def __init__(self, model: LatticeModel, delta_t: float, chi: float,
@@ -453,8 +460,18 @@ class IncoherentProtocol:
         self.n_max = n_max
         basis = enumerate_basis(model.n_sites, range(n_max + 1))
         self.sectors = list(sector_spectra(model, delta_t, basis).values())
-        self.doublet = self.sectors[2].order[:2]
-        if self.sectors[2].aliased[self.doublet].any():
+        self.sizes = [np.array([len(m) for m in s.manifolds])
+                      for s in self.sectors]
+        held = np.cumsum(self.sizes[2])
+        self.doublet = np.arange(np.searchsorted(held, 2) + 1)
+        if held[self.doublet[-1]] != 2:
+            raise ProtocolError(
+                f"the lowest sector-2 manifolds hold "
+                f"{self.sizes[2][self.doublet].tolist()} states; no run of "
+                "them is a two-state ground doublet")
+        labels = np.concatenate(
+            [self.sectors[2].manifolds[m] for m in self.doublet])
+        if self.sectors[2].aliased[labels].any():
             raise ProtocolError("the ground doublet lies on the branch cut of "
                                 "the effective energies; lower delta_t")
         th_g = [-s.energies[s.order[0]] * delta_t for s in self.sectors]
@@ -480,35 +497,48 @@ class IncoherentProtocol:
             den = 1.0 - 2.0 * s * np.cos(delta) + s * s
             return eps2 * (1.0 - s * s) / den
 
+        # each manifold's phase is its first label's; its labels are taken
+        # in one block, so a sum over a manifold is one reduceat segment
+        thetas, vecs, starts = [], [], []
+        for sec, size in zip(self.sectors, self.sizes):
+            thetas.append(np.array([-sec.energies[m[0]] * self.delta_t
+                                    for m in sec.manifolds]))
+            vecs.append(sec.eigenvectors[:, np.concatenate(sec.manifolds)])
+            starts.append(np.cumsum(size) - size)
         bdag = [ladder_operator(basis, j, "create").entries
                 for j in range(self.model.n_sites)]
-        thetas = [-sec.energies * self.delta_t for sec in self.sectors]
-        # per sector pair k -> k+1: the m2 stack (n_sites, d_hi * d_lo) of
-        # |<f, k+1| b_j^dag |i, k>|^2 in the eigenbases, the kernels k10, k21
-        # (d_hi, d_lo), and the per-site column sums (2, n_sites, d_lo) and
-        # row sums (2, n_sites, d_hi) of r1_j, r2_j
+        # per sector pair k -> k+1: the stack (n_sites, M_hi * M_lo) of the
+        # manifold weights W_j, the kernels k10, k21 (M_hi, M_lo), and the
+        # per-site column sums (2, n_sites, M_lo) and row sums
+        # (2, n_sites, M_hi) of k10 W_j and k21 W_j
         self._pairs = []
         for k in range(self.n_max):
             lo, hi = basis.sector_slice(k), basis.sector_slice(k + 1)
-            v_lo = self.sectors[k].eigenvectors
-            v_hi_h = self.sectors[k + 1].eigenvectors.conj().T
+            v_hi_h = vecs[k + 1].conj().T
             dth = thetas[k + 1][:, None] - thetas[k]
             k10, k21 = kernel(dth - gate_10), 2.0 * kernel(dth - gate_21)
-            m2 = np.stack([np.abs(v_hi_h @ (b[hi, lo] @ v_lo)) ** 2
-                           for b in bdag])
+            # each site's label-level |<f| b_j^dag |i>|^2 is summed into
+            # manifold weights at once; no label-level stack is kept
+            w = np.stack([
+                np.add.reduceat(np.add.reduceat(
+                    np.abs(v_hi_h @ (b[hi, lo] @ vecs[k])) ** 2,
+                    starts[k + 1], axis=0), starts[k], axis=1)
+                for b in bdag])
             self._pairs.append((
-                m2.reshape(len(m2), -1), k10, k21,
-                np.stack([np.einsum("fi,jfi->ji", kk, m2) for kk in (k10, k21)]),
-                np.stack([np.einsum("fi,jfi->jf", kk, m2) for kk in (k10, k21)]),
+                w.reshape(len(w), -1), k10, k21,
+                np.stack([np.einsum("FI,jFI->jI", kk, w) for kk in (k10, k21)]),
+                np.stack([np.einsum("FI,jFI->jF", kk, w) for kk in (k10, k21)]),
             ))
-        # a sector-k state leaves up by pair k's column sums (ancilla level
-        # 1 or 2) and down by pair k-1's row sums (level 0 or 1); a step is
-        # a convex update while these sum to at most 1 for every state
+        # a sector-k manifold leaves up by pair k's column sums (ancilla
+        # level 1 or 2) and down by pair k-1's row sums (level 0 or 1); per
+        # state that is its size's share, and a step is a convex update
+        # while these sum to at most 1 for every state
         none = np.zeros((2, 1, 1))
         for k in range(self.n_max + 1):
             up = self._pairs[k][3] if k < self.n_max else none
             dn = self._pairs[k - 1][4] if k > 0 else none
-            leave = np.maximum(np.maximum(dn[0], up[0] + dn[1]), up[1]).sum(0)
+            leave = (np.maximum(np.maximum(dn[0], up[0] + dn[1]), up[1]).sum(0)
+                     / self.sizes[k])
             if leave.max() > 1.0:
                 raise ProtocolError(
                     f"a state's transfer probability per circulation reaches "
@@ -517,12 +547,13 @@ class IncoherentProtocol:
     # -- state handling ------------------------------------------------------
 
     def reset(self, init: str = "vacuum"):
-        """init, one of INITS: "vacuum" (empty lattice) or "ground" (a
-        two-photon ground state); ancillas start in one photon each."""
+        """init, one of INITS: "vacuum" (empty lattice) or "ground" (the
+        two-photon ground doublet, 1/2 per state); ancillas start in one
+        photon each."""
         if init not in INITS:
             raise ValueError(f"unknown initialization {init!r}; pick one "
                              f"of {INITS}")
-        self.populations = [np.zeros(len(s.energies)) for s in self.sectors]
+        self.populations = [np.zeros(len(size)) for size in self.sizes]
         if init == "vacuum":
             self.populations[0][0] = 1.0
         else:
@@ -534,30 +565,32 @@ class IncoherentProtocol:
         """One circulation: collision transfer flows, then ancilla refresh.
 
         For each site j and sector pair k -> k+1, with rate matrices r1_j
-        (ancilla 1 <-> 0), r2_j (ancilla 2 <-> 1) and ancilla occupancies
-        q_j = (q0_j, q1_j, q2_j):
+        (ancilla 1 <-> 0), r2_j (ancilla 2 <-> 1) between manifolds,
+        populations per state x and ancilla occupancies q_j = (q0_j, q1_j,
+        q2_j), the manifold populations P = |I| x change by
 
-            upward   flux[f] = q_src * sum_i r[f, i] p_k[i]
-            downward flux[i] = q_src * sum_f r[f, i] p_{k+1}[f]
+            upward   flux[F] = q_src * sum_I r[F, I] x_k[I]
+            downward flux[I] = q_src * sum_F r[F, I] x_{k+1}[F]
 
         and the same scalar flux moves the ancilla occupancy distribution.
 
-        The rates factor as r1_j = k10 * m2_j, r2_j = k21 * m2_j, with
-        site-independent kernels k10, k21 and m2_j = |<f| b_j^dag |i>|^2, so
-        the site sum is one product W = q^T m2 over the stacked m2_j,
-        Wn = sum_j qn_j m2_j, and the summed rates A_up = k10 W1 + k21 W2
+        The rates factor as r1_j = k10 * W_j, r2_j = k21 * W_j, with
+        site-independent kernels k10, k21 and the manifold weights W_j, so
+        the site sum is one product over the stacked W_j,
+        Wn = sum_j qn_j W_j, and the summed rates A_up = k10 W1 + k21 W2
         (k -> k+1) and A_dn = k10 W0 + k21 W1 (k+1 -> k) give the in-flows
-        A_up @ p_k and A_dn^T @ p_{k+1}.  The build precomputes the kernels,
-        the m2 stack and the per-site column and row sums of r1_j and r2_j;
+        A_up @ x_k and A_dn^T @ x_{k+1}.  The build precomputes the kernels,
+        the W stack and the per-site column and row sums of r1_j and r2_j;
         weighted by q_j, these give the out-flows and the ancilla fluxes.
+        Each manifold's change is spread over its states: x += dP / |F|.
         """
         p = self.populations
         dp = [np.zeros_like(x) for x in p]
         q0, q1, q2 = self.ancilla.T
         danc = np.zeros_like(self.ancilla)
-        for k, (m2, k10, k21, cols, rows) in enumerate(self._pairs):
+        for k, (w, k10, k21, cols, rows) in enumerate(self._pairs):
             lo, hi = p[k], p[k + 1]
-            w0, w1, w2 = (self.ancilla.T @ m2).reshape(3, *k10.shape)
+            w0, w1, w2 = (self.ancilla.T @ w).reshape(3, *k10.shape)
             a_up = k10 * w1 + k21 * w2
             a_dn = k10 * w0 + k21 * w1
             dp[k + 1] += a_up @ lo - (q0 @ rows[0] + q1 @ rows[1]) * hi
@@ -569,7 +602,7 @@ class IncoherentProtocol:
             danc[:, 1] += f_dn1 - f_up1 + f_up2 - f_dn2
             danc[:, 2] += f_dn2 - f_up2
         for k in range(self.n_max + 1):
-            self.populations[k] += dp[k]
+            self.populations[k] += dp[k] / self.sizes[k]
         self.ancilla += danc
         # probabilistic refresh as the exact convex mixture
         p_ref = self.params.p_ref
@@ -578,12 +611,13 @@ class IncoherentProtocol:
 
     def observables(self) -> dict:
         """P_k per sector, ground-doublet population, mean and variance of N."""
-        pk = np.array([x.sum() for x in self.populations])
+        pk = np.array([x @ size for x, size in zip(self.populations, self.sizes)])
         ks = np.arange(self.n_max + 1)
         n_mean = float(np.sum(ks * pk))
         return {
             **{f"P{k}": float(p) for k, p in enumerate(pk)},
-            "ground_population": float(self.populations[2][self.doublet].sum()),
+            "ground_population": float(self.populations[2][self.doublet]
+                                       @ self.sizes[2][self.doublet]),
             "N_mean": n_mean,
             "N_var": float(np.sum(ks**2 * pk)) - n_mean**2,
         }

@@ -14,6 +14,15 @@ branch of the eigenvector's mean exact energy <v|H|v>.  ``order[0]`` is the
 sector's ground and ``order[:2]`` of sector 2 the two-photon ground doublet.
 The rule only picks labels; energies and eigenvectors keep their order.
 
+Degeneracy rule, pinned package-wide: two labels of a sector share a
+manifold when their eigenphases lie within DEGENERACY_TOL of each other on
+the unit circle, chained, so a cluster that straddles +-pi/dt is one
+manifold.  ``sector_spectra`` lists each sector's manifolds in ground-rule
+order, each manifold's labels too; the single-photon-ancilla protocol keeps
+one population per manifold.  On the 2x4 and 4x4 tori the splittings
+inside a manifold are <= 7e-15 and the gaps between manifolds >= 5e-4, so
+any tolerance from 1e-12 to 1e-5 gives the same manifolds.
+
 The analytic two-photon torus ground states combine a center-of-mass theta
 factor, a Gaussian in the y coordinates, and the squared odd theta function
 of the relative coordinate; a diagonal gauge map transfers them from the
@@ -43,10 +52,10 @@ __all__ = [
     "analytic_ground_state",
     "even_total_flux",
     "overlap_optimize",
-    "distinct_energy_count",
 ]
 
 BRANCH_CUT_TOL = 1e-6
+DEGENERACY_TOL = 1e-9       # eigenphase distance within a manifold, radians
 
 
 @dataclass
@@ -63,9 +72,11 @@ class SpectralResult:
 
 @dataclass
 class SectorSpectrum(SpectralResult):
-    """A sector's spectrum with its labels in ground-rule order."""
+    """A sector's spectrum with its labels and manifolds in ground-rule
+    order."""
 
     order: np.ndarray           # labels by unwrapped energy, ground first
+    manifolds: list             # label arrays of the degenerate manifolds
 
 
 @dataclass
@@ -121,7 +132,8 @@ def effective_energies(
 def sector_spectra(model: LatticeModel, delta_t: float,
                    basis: FockBasis) -> dict:
     """SectorSpectrum of each sector block of one Trotter step on the basis,
-    by sector, with its labels in ground-rule order (module docstring)."""
+    by sector, with its labels and manifolds in ground-rule order (module
+    docstring)."""
     step = step_operator(model, delta_t, basis)
     h = exact_hamiltonian(model, basis).entries
     period = 2 * np.pi / delta_t
@@ -133,8 +145,24 @@ def sector_spectra(model: LatticeModel, delta_t: float,
         mean_h = np.real(np.sum(v.conj() * (h[sl, sl] @ v), axis=0))
         shift = np.round((mean_h - res.energies) / period)
         order = np.argsort(res.energies + period * shift, kind="stable")
-        spectra[k] = SectorSpectrum(**vars(res), order=order)
+        spectra[k] = SectorSpectrum(**vars(res), order=order,
+                                    manifolds=_manifolds(res.energies, order,
+                                                         delta_t))
     return spectra
+
+
+def _manifolds(energies: np.ndarray, order: np.ndarray, delta_t: float) -> list:
+    """Labels of ascending principal-branch energies grouped by the
+    degeneracy rule, manifolds and their labels in the order of ``order``."""
+    cuts = np.flatnonzero(np.diff(energies) * delta_t > DEGENERACY_TOL) + 1
+    groups = np.split(np.arange(len(energies)), cuts)
+    # the last cluster meets the first across the branch cut
+    if len(groups) > 1 and (
+            2 * np.pi + (energies[0] - energies[-1]) * delta_t <= DEGENERACY_TOL):
+        groups[0] = np.concatenate([groups.pop(), groups[0]])
+    rank = np.argsort(order)
+    groups = [g[np.argsort(rank[g], kind="stable")] for g in groups]
+    return sorted(groups, key=lambda g: rank[g[0]])
 
 
 def ground_space(spec: SectorSpectrum) -> GroundSpace:
@@ -147,14 +175,6 @@ def ground_space(spec: SectorSpectrum) -> GroundSpace:
         gap=float(e[2] - e[1]),
         degeneracy_split=float(e[1] - e[0]),
     )
-
-
-def distinct_energy_count(energies: np.ndarray, tol: float = 1e-6) -> int:
-    """Number of energy clusters at absolute tolerance tol."""
-    e = np.sort(np.asarray(energies, dtype=float))
-    if e.size == 0:
-        return 0
-    return int(1 + np.sum(np.diff(e) > tol))
 
 
 def jacobi_theta(a: float, b: float, z: complex, tau: complex) -> complex:

@@ -86,6 +86,9 @@ def test_compile_square_default_pitch_follows_l_x(tmp_path):
     ["subtraction", "--set", "gamma_grid=[Infinity]"],
     # an integer too large for a float
     ["spectrum", "--set", "U=1" + "0" * 400],
+    # a Fock basis above MAX_BASIS_STATES (4,845 and 16,524 states)
+    ["incoherent", "--set", "n_max=4"],
+    ["spectrum", "--set", "sectors=[1,2,5]"],
 ])
 def test_model_errors_exit_one(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -183,11 +186,9 @@ def test_protocol_trace_holds_every_sector(tmp_path):
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
-# --set values per experiment on small lattices, short scans and few
-# circulations: each pool mixes values the run takes with ones it rejects.
-# subtraction has no lattice to shrink: every run derives the gamma = 4000
-# square pulse for its summary (about 1 s), so its rules are left to
-# test_model_errors_exit_one
+# --set values per experiment on small lattices, short scans, few
+# circulations and coarse pulse grids: each pool mixes values the run takes
+# with ones it rejects
 FUZZ_VALUES = {
     "quench": {
         "N_x": [1, 2, 3, 5], "U": [0.0, 10.0, -3.0],
@@ -215,6 +216,12 @@ FUZZ_VALUES = {
         "n_max": [1, 2, 3, 4], "n_circulations": [1, 7],
         "record_every": [1, 3, 50], "inits": [["vacuum"], ["ground"], []],
     },
+    "subtraction": {
+        "grid_points": [17, 257],
+        "gamma_grid": [[50.0], [100.0, 316.0], [1000.0], [-1]],
+        "k_list": [[1], [1, 2, 3], [2], [0]],
+        "pulses": [["square"], ["bump"], ["square", "bump"], [], ["foo"]],
+    },
     "compile": {
         "geometry": ["chain", "square"], "N_x": [2, 3, 4, 6],
         "N_y": [2, 4], "phi_plaq": [0.0, 0.25], "delta_t": [0.2, 5.0],
@@ -225,6 +232,7 @@ FUZZ_VALUES = {
 # keys a drawn config always sets, so no run falls back to a large default
 FUZZ_FIXED = {
     "quench": {}, "spectrum": {"N_x": 2, "N_y": 2}, "compile": {},
+    "subtraction": {"grid_points": 17, "gamma_grid": [100.0]},
     "steady_state": {"N_x": 2, "N_y": 2, "omega_points": 1},
     "incoherent": {"N_x": 2, "N_y": 2, "n_circulations": 3},
 }

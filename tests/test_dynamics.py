@@ -406,16 +406,36 @@ def test_protocol_phase_offsets_make_designed_transitions_resonant():
 
 
 def test_reset_ground_fills_the_doublet_that_anchors_phi_1(small_protocol):
+    # the doublet is the lowest sector-2 manifolds holding two states: on
+    # the 2x2 torus two manifolds of one state each, which hold the labels
+    # order[:2]; reset("ground") puts 1/2 on each of their states
     prot = small_protocol
     prot.reset("ground")
     filled = np.flatnonzero(prot.populations[2])
-    assert sorted(filled) == sorted(prot.sectors[2].order[:2])
+    assert list(filled) == list(prot.doublet) == [0, 1]
+    labels = np.concatenate([prot.sectors[2].manifolds[m] for m in filled])
+    assert np.array_equal(labels, prot.sectors[2].order[:2])
     assert np.all(prot.populations[2][filled] == 0.5)
     assert prot.observables()["ground_population"] == 1.0
+    assert prot.observables()["P2"] == 1.0
     g1, g2 = prot.sectors[1].order[0], prot.sectors[2].order[0]
-    assert g2 in filled
+    assert g2 in prot.sectors[2].manifolds[0]
     e1, e2 = prot.sectors[1].energies, prot.sectors[2].energies
     assert prot.params.phi_1 == -e2[g2] * prot.delta_t + e1[g1] * prot.delta_t
+
+
+def test_doublet_is_the_lowest_manifolds_holding_two_states():
+    # on the 2x4 torus the doublet is two manifolds of one state; on the
+    # U = 0 2x2 torus the lowest sector-2 manifolds hold 1 and 2 states, so
+    # no run of them is a doublet
+    prot = IncoherentProtocol(build_fqh(2, 4, 1.0, 10.0, 0.25), 0.25,
+                              chi=0.048, p_ref=0.01, n_max=3)
+    assert [len(s.manifolds) for s in prot.sectors] == [1, 3, 23, 60]
+    assert list(prot.doublet) == [0, 1]
+    assert list(prot.sizes[2][:2]) == [1, 1]
+    with pytest.raises(dynamics.ProtocolError, match="doublet"):
+        IncoherentProtocol(build_fqh(2, 2, 1.0, 0.0, 0.25), 0.25,
+                           chi=0.048, p_ref=0.01, n_max=3)
 
 
 def test_protocol_rejects_an_aliased_doublet(small_model, monkeypatch):
@@ -468,7 +488,7 @@ def test_protocol_populations_stay_normalized(small_protocol):
     prot.reset("ground")
     for _ in range(300):
         prot.step()
-    total = sum(float(x.sum()) for x in prot.populations)
+    total = sum(float(x @ n) for x, n in zip(prot.populations, prot.sizes))
     assert total == pytest.approx(1.0, abs=1e-9)
     assert all(np.all(x > -1e-12) for x in prot.populations)
     assert np.all(prot.ancilla > -1e-12)
@@ -501,7 +521,7 @@ def test_incoherent_step_unitary_limit(small_model):
         v = sec.eigenvectors
         assert np.max(np.abs(u[sl, sl] @ v - v * sec.eigenphases)) < 1e-9
     rng = np.random.default_rng(21)
-    prot.populations = [rng.random(len(s.energies)) for s in prot.sectors]
+    prot.populations = [rng.random(len(n)) for n in prot.sizes]
     before = [x.copy() for x in prot.populations]
     prot.step()
     for x, y in zip(prot.populations, before):
@@ -510,24 +530,26 @@ def test_incoherent_step_unitary_limit(small_model):
 
 
 def test_incoherent_step_preserves_trace(small_protocol):
-    # a random population over every sector keeps its unit total
+    # a random population over every sector's manifolds keeps its unit
+    # total, each manifold counted once per state
     prot = small_protocol
     prot.reset("vacuum")
     rng = np.random.default_rng(22)
-    pops = [rng.random(len(s.energies)) for s in prot.sectors]
-    total = sum(float(x.sum()) for x in pops)
+    pops = [rng.random(len(n)) for n in prot.sizes]
+    total = sum(float(x @ n) for x, n in zip(pops, prot.sizes))
     prot.populations = [x / total for x in pops]
     prot.step()
-    assert sum(float(x.sum()) for x in prot.populations) == pytest.approx(
-        1.0, abs=1e-12
+    assert sum(float(x @ n) for x, n in zip(prot.populations, prot.sizes)) == (
+        pytest.approx(1.0, abs=1e-12)
     )
 
 
 def oracle_rates(prot):
-    """The protocol's rate matrices built site by site, as the module
-    docstring states them: rates[k][j] = (r1, r2) for sector pair k -> k+1,
+    """The label-level rate model, one population per step eigenvector,
+    built site by site: rates[k][j] = (r1, r2) for sector pair k -> k+1,
     r = sin^2(chi dt) c |<f| b_j^dag |i>|^2 S(Delta), with the bosonic factor
-    c = 1 for ancilla 1 <-> 0 (r1) and c = 2 for ancilla 2 <-> 1 (r2)."""
+    c = 1 for ancilla 1 <-> 0 (r1) and c = 2 for ancilla 2 <-> 1 (r2).
+    Where every manifold is one state it is the protocol's model."""
     par = prot.params
     s = 1.0 - par.p_ref
     eps2 = np.sin(par.chi * prot.delta_t) ** 2
@@ -548,8 +570,9 @@ def oracle_rates(prot):
 
 
 def oracle_step(prot, rates, populations, ancilla):
-    """One circulation as a loop over sites and sector pairs, each flow a
-    matrix-vector product with one site's rate matrix."""
+    """One circulation of the label-level model as a loop over sites and
+    sector pairs, each flow a matrix-vector product with one site's rate
+    matrix."""
     p = populations
     dp = [np.zeros_like(x) for x in p]
     danc = np.zeros_like(ancilla)
@@ -569,26 +592,81 @@ def oracle_step(prot, rates, populations, ancilla):
     return [x + d for x, d in zip(p, dp)], anc
 
 
+def label_populations(prot):
+    """The protocol's state as one population per step eigenvector: each
+    manifold's population per state on every one of its labels."""
+    out = []
+    for sec, x in zip(prot.sectors, prot.populations):
+        p = np.empty(len(sec.energies))
+        for m, labels in enumerate(sec.manifolds):
+            p[labels] = x[m]
+        out.append(p)
+    return out
+
+
+def manifold_totals(prot, populations):
+    """Label populations summed over each of the protocol's manifolds."""
+    return [np.array([p[labels].sum() for labels in sec.manifolds])
+            for sec, p in zip(prot.sectors, populations)]
+
+
 @pytest.mark.parametrize("init", ["vacuum", "ground"])
 def test_incoherent_step_matches_site_loop_oracle(init):
-    # the factored step against the per-site loop on the 2x4 torus (8 sites,
-    # sector dims 1/8/36/120), every step of a 1,000-step run
-    model = build_fqh(2, 4, 1.0, 10.0, 0.25)
+    # on the open 2x3 lattice at flux 0.2 no step eigenphase is degenerate,
+    # so every manifold is one state and the manifold model is the label
+    # model; the factored step against the per-site loop, every step of a
+    # 1,000-step run (sector dims 1/6/21/56)
+    model = build_fqh(2, 3, 1.0, 10.0, 0.2, boundary="open")
     prot = IncoherentProtocol(model, 0.25, chi=0.048, p_ref=0.01, n_max=3)
+    assert all(np.all(n == 1) for n in prot.sizes)
     rates = oracle_rates(prot)
     prot.reset(init)
-    pops = [x.copy() for x in prot.populations]
+    pops = label_populations(prot)
     anc = prot.ancilla.copy()
     worst = 0.0
     for _ in range(1000):
         prot.step()
         pops, anc = oracle_step(prot, rates, pops, anc)
         worst = max(worst, np.max(np.abs(prot.ancilla - anc)),
-                    *(np.max(np.abs(x - y))
-                      for x, y in zip(prot.populations, pops)))
+                    *(np.max(np.abs(x - y)) for x, y in
+                      zip(label_populations(prot), pops)))
     assert worst < 1e-12
     # the run moved population, so the comparison is not between zeros
     assert prot.observables()["P2"] > 0.01
+
+
+def test_protocol_does_not_depend_on_the_basis_inside_manifolds(monkeypatch):
+    # rotating each manifold's eigenvectors by a random unitary changes the
+    # label-level rates, but not the manifold weights, so 1,000-step runs
+    # from both inits end where they do unrotated (2x4 torus, manifolds
+    # 1/3/23/60)
+    model = build_fqh(2, 4, 1.0, 10.0, 0.25)
+
+    def rotated_spectra(*args):
+        rng = np.random.default_rng(31)
+        spectra = spectral.sector_spectra(*args)
+        for sec in spectra.values():
+            for labels in sec.manifolds:
+                z = rng.normal(size=(len(labels),) * 2) + 1j * rng.normal(
+                    size=(len(labels),) * 2)
+                q, _ = np.linalg.qr(z)
+                sec.eigenvectors[:, labels] = sec.eigenvectors[:, labels] @ q
+        return spectra
+
+    plain = IncoherentProtocol(model, 0.25, chi=0.048, p_ref=0.01, n_max=3)
+    monkeypatch.setattr(dynamics, "sector_spectra", rotated_spectra)
+    rotated = IncoherentProtocol(model, 0.25, chi=0.048, p_ref=0.01, n_max=3)
+    moved = max(np.max(np.abs(a[0] - b[0]))
+                for pa, pb in zip(oracle_rates(plain), oracle_rates(rotated))
+                for a, b in zip(pa, pb))
+    assert moved > 1e-4
+    for init in ("vacuum", "ground"):
+        finals = []
+        for prot in (plain, rotated):
+            prot.reset(init)
+            finals.append(prot.run(1000, record_every=1000)[-1])
+        for key, value in finals[0].items():
+            assert finals[1][key] == pytest.approx(value, abs=1e-12), (init, key)
 
 
 @pytest.fixture(scope="module")
@@ -603,24 +681,31 @@ def small_oracle_rates(small_protocol):
 )
 def test_incoherent_step_random_states(small_protocol, small_oracle_rates,
                                        pop_draws, anc_draws):
-    # one step from a random population over sectors 0..3 of the 2x2 torus
-    # and random per-site ancilla distributions matches the oracle, and the
-    # transfer flows conserve system + ancilla photons
+    # one step from a random population over the manifolds of sectors 0..3
+    # of the 2x2 torus (each manifold's draw is the mean over its labels)
+    # and random per-site ancilla distributions: each manifold's population
+    # moves as the label-level oracle moves it from that state spread evenly
+    # over the manifold's labels, and the transfer flows conserve system +
+    # ancilla photons
     prot = small_protocol
     assume(pop_draws.sum() > 1e-3 and np.all(anc_draws.sum(axis=1) > 1e-3))
-    pops = np.split(pop_draws / pop_draws.sum(),
-                    np.cumsum([len(s.energies) for s in prot.sectors])[:-1])
+    draws = np.split(pop_draws / pop_draws.sum(),
+                     np.cumsum([len(s.energies) for s in prot.sectors])[:-1])
+    pops = [x / n for x, n in zip(manifold_totals(prot, draws), prot.sizes)]
     anc = anc_draws / anc_draws.sum(axis=1, keepdims=True)
     prot.populations = [x.copy() for x in pops]
     prot.ancilla = anc.copy()
+    spread = label_populations(prot)
     prot.step()
-    want_pops, want_anc = oracle_step(prot, small_oracle_rates, pops, anc)
-    for x, y in zip(prot.populations, want_pops):
-        assert np.max(np.abs(x - y)) < 1e-13
+    want_pops, want_anc = oracle_step(prot, small_oracle_rates, spread, anc)
+    for x, n, y in zip(prot.populations, prot.sizes,
+                       manifold_totals(prot, want_pops)):
+        assert np.max(np.abs(x * n - y)) < 1e-13
     assert np.max(np.abs(prot.ancilla - want_anc)) < 1e-13
 
     def photons(populations, ancilla):
-        n_sys = sum(k * float(x.sum()) for k, x in enumerate(populations))
+        n_sys = sum(k * float(x @ n) for k, (x, n) in
+                    enumerate(zip(populations, prot.sizes)))
         return n_sys + float(np.sum(ancilla @ [0.0, 1.0, 2.0]))
 
     p_ref = prot.params.p_ref

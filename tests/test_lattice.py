@@ -1,4 +1,5 @@
 import cmath
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,3 +192,72 @@ def test_trotter_error_first_order(model, dts):
         errs.append(np.linalg.norm(u - exact, 2))
     for e0, e1 in zip(errs, errs[1:]):
         assert e0 / e1 == pytest.approx(4.0, rel=0.2)
+
+
+def magnetic_translation(model, basis, dx, dy):
+    """Fock-space operator of the site shift (x, y) -> (x + dx, y + dy)
+    times the magnetic phase e^{2 pi i phi dx y n} of each site's photons."""
+    nx, ny = model.shape
+    occ = basis.occupations()
+    x, y = np.arange(model.n_sites) % nx, np.arange(model.n_sites) // nx
+    moved = np.zeros_like(occ)
+    moved[:, model.site_index(x + dx, y + dy)] = occ
+    t = np.zeros((basis.dim, basis.dim), dtype=complex)
+    t[basis.rank(moved), np.arange(basis.dim)] = np.exp(
+        2j * np.pi * model.phi_plaq * dx * (occ @ y))
+    return t
+
+
+def _commuting_shifts(nx, ny, phi):
+    """Whether the magnetic T_x^2 and T_y^2 commute with the step, by the
+    wrap phases: phi N_x and 2 phi N_y integers, and 2 phi N_x an integer."""
+    return ((phi * nx).denominator == 1 and (2 * phi * ny).denominator == 1,
+            (2 * phi * nx).denominator == 1)
+
+
+# even tori up to 6x6 with integer total flux at flux 1/q, q <= 12, on
+# which at least one of T_x^2 and T_y^2 commutes with the step
+EVEN_TORI = [(nx, ny, Fraction(1, q))
+             for nx in (2, 4, 6) for ny in (2, 4, 6) for q in (2, 3, 4, 6, 8, 12)
+             if (nx * ny) % q == 0 and any(_commuting_shifts(nx, ny, Fraction(1, q)))]
+
+
+@pytest.mark.parametrize("nx,ny,phi", EVEN_TORI, ids=str)
+def test_translations_commute_with_the_step(nx, ny, phi):
+    # a unit shift swaps the step's even and odd Trotter layers, so the
+    # step commutes with shifts by two sites where the wrap phases allow
+    # it; where both do, T_x^2 T_y^2 = e^{8 pi i phi N} T_y^2 T_x^2.
+    # Sectors 1 and 2.
+    model = build_fqh(nx, ny, 1.0, 10.0, float(phi))
+    b = enumerate_basis(model.n_sites, {1, 2})
+    u = step_operator(model, 0.25, b)
+    tx2, ty2 = (magnetic_translation(model, b, 2, 0),
+                magnetic_translation(model, b, 0, 2))
+    x_ok, y_ok = _commuting_shifts(nx, ny, phi)
+    if x_ok:
+        assert np.max(np.abs(u @ tx2 - tx2 @ u)) < 1e-13
+    if y_ok:
+        assert np.max(np.abs(u @ ty2 - ty2 @ u)) < 1e-13
+    if x_ok and y_ok:
+        twist = np.exp(8j * np.pi * float(phi) * b.totals())
+        assert np.max(np.abs(tx2 @ ty2 - twist[:, None] * (ty2 @ tx2))) < 1e-13
+
+
+def test_unit_translations_on_the_quarter_flux_4x4_torus():
+    # on the 4x4 torus at flux 1/4 the unit shifts commute with the step
+    # too, and T_x T_y = e^{2 pi i phi N} T_y T_x.  The negative control:
+    # on the 2x4 torus phi N_x = 1/2, and T_x^2 misses the step by 0.64
+    model = build_fqh(4, 4, 1.0, 10.0, 0.25)
+    b = enumerate_basis(16, {1, 2})
+    u = step_operator(model, 0.25, b)
+    tx, ty = (magnetic_translation(model, b, 1, 0),
+              magnetic_translation(model, b, 0, 1))
+    for t in (tx, ty):
+        assert np.max(np.abs(u @ t - t @ u)) < 1e-13
+    twist = np.exp(2j * np.pi * 0.25 * b.totals())
+    assert np.max(np.abs(tx @ ty - twist[:, None] * (ty @ tx))) < 1e-13
+    model = build_fqh(2, 4, 1.0, 10.0, 0.25)
+    b = enumerate_basis(8, {1, 2})
+    u = step_operator(model, 0.25, b)
+    tx2 = magnetic_translation(model, b, 2, 0)
+    assert np.max(np.abs(u @ tx2 - tx2 @ u)) > 0.5

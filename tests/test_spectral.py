@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from timebin import spectral
 from timebin.dynamics import IncoherentProtocol
 from timebin.fock import enumerate_basis
 from timebin.lattice import build_fqh, exact_hamiltonian
 from timebin.spectral import (
     analytic_ground_state,
-    distinct_energy_count,
     effective_energies,
     ground_space,
     jacobi_theta,
@@ -75,8 +75,36 @@ def test_branch_cut_flagging():
 
 
 def test_five_distinct_energies_at_u0(fqh_u0):
-    res = effective_energies(step_unitary(fqh_u0, DT, 2), DT, sector=2)
-    assert distinct_energy_count(res.energies, tol=1e-6) == 5
+    spec2 = sector_spectra(fqh_u0, DT, enumerate_basis(16, {2}))[2]
+    assert [len(m) for m in spec2.manifolds] == [10, 32, 52, 32, 10]
+
+
+def test_manifolds_follow_the_degeneracy_rule(fqh_u10):
+    # 4x4 torus at U = 10: 3 manifolds in sector 1 and 29 in sector 2, the
+    # doublet one of them; the labels split into manifolds whose phases lie
+    # within DEGENERACY_TOL, listed in ground-rule order
+    spectra = sector_spectra(fqh_u10, DT, enumerate_basis(16, {1, 2}))
+    for k, count in ((1, 3), (2, 29)):
+        spec = spectra[k]
+        assert len(spec.manifolds) == count
+        labels = np.concatenate(spec.manifolds)
+        assert np.array_equal(labels, spec.order)
+        firsts = np.array([spec.eigenphases[m[0]] for m in spec.manifolds])
+        for m, u in zip(spec.manifolds, firsts):
+            assert np.max(np.abs(np.angle(spec.eigenphases[m] / u))) <= (
+                spectral.DEGENERACY_TOL)
+        gaps = np.abs(np.angle(firsts[:, None] / firsts))
+        assert np.min(gaps + np.eye(count)) > 1e-4
+    assert np.array_equal(spectra[2].manifolds[0], spectra[2].order[:2])
+
+
+def test_a_manifold_may_straddle_the_branch_cut():
+    # two phases 1e-12 apart on either side of -pi are one manifold, and it
+    # comes first when the ground rule puts one of its labels first
+    eps = np.pi / DT
+    energies = np.array([-eps + 4e-13, 0.0, 1.0, eps - 4e-13])
+    groups = spectral._manifolds(energies, np.array([3, 1, 2, 0]), DT)
+    assert [list(g) for g in groups] == [[3, 0], [1], [2]]
 
 
 def test_sector2_energies_are_pairwise_sums_at_u0(fqh_u0):
@@ -96,13 +124,15 @@ def test_ground_doublet_and_gap(spec2_u10):
 
 def test_sector_spectra_doublet_is_the_protocols():
     # the spectrum and steady-state runs (sectors 1, 2) and the protocol
-    # (sectors 0..3) read one ground rule, so they pick one doublet
+    # (sectors 0..3) read one ground and one degeneracy rule, so they pick
+    # one doublet: on the 2x4 torus the protocol's two one-state manifolds
     model = build_fqh(2, 4, 1.0, 10.0, 0.25)
     spec2 = sector_spectra(model, DT, enumerate_basis(8, {1, 2}))[2]
     prot = IncoherentProtocol(model, DT, chi=0.05, p_ref=0.02, n_max=3)
-    assert np.array_equal(spec2.order[:2], prot.doublet)
+    labels = np.concatenate([prot.sectors[2].manifolds[m] for m in prot.doublet])
+    assert np.array_equal(spec2.order[:2], labels)
     assert np.array_equal(ground_space(spec2).states,
-                          prot.sectors[2].eigenvectors[:, prot.doublet])
+                          prot.sectors[2].eigenvectors[:, labels])
 
 
 def test_jacobi_theta_identities():

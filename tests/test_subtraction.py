@@ -232,6 +232,14 @@ def test_run_subtraction_derives_once_per_pulse_and_gamma(monkeypatch, tmp_path)
     sq = PulseShape.square(257)
     assert summary["p_fail_k2"] == p_fail_k2(sq, 4000.0)
     assert summary["infidelity_k2"] == 1 - f_sub_single(sq, 4000.0, 2)
+    # a grid without the gamma = 4000 row derives nothing more, and its
+    # summary's estimates are null
+    calls.clear()
+    summary = experiments.run_subtraction(dict(cfg, gamma_grid=[50.0]),
+                                          str(tmp_path))
+    assert sorted(calls) == [("bump", 50.0), ("square", 50.0)]
+    for key in ("p_fail_k1", "p_fail_k2", "infidelity_k1", "infidelity_k2"):
+        assert summary[key] is None, key
 
 
 def test_import_leaves_scipy_quadratures_unloaded():
