@@ -2,6 +2,8 @@
 
 Config files are flat JSON; --set key=value flags override file keys.
 Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
+An exit 1 writes nothing; the others write the run's outputs and then
+manifest.json into the output directory.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import experiments
@@ -215,8 +216,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    os.makedirs(args.out, exist_ok=True)
-    experiments.write_manifest(args.out, args.experiment, cfg)
     scan = ({"threads": max(1, args.threads)}
             if args.experiment == "steady_state" else {})
     try:
@@ -224,6 +223,7 @@ def main(argv=None) -> int:
     except ProtocolError as exc:       # a rule only the protocol build checks
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    experiments.write_manifest(args.out, args.experiment, cfg)
     if summary.get("non_converged"):
         print(f"error: {summary['non_converged']} scan points did not "
               "converge", file=sys.stderr)

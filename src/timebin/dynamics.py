@@ -117,17 +117,14 @@ class DriveDissParams:
 
 @dataclass
 class SteadyStateReport:
-    """Fixed point of the circulation channel plus its scalar observables."""
+    """What fixed_point measured: the fixed point, the iterations taken, the
+    trace-norm residual of one more channel application, and whether the
+    last step met tol and that residual 2 tol."""
 
     rho_fix: DensityMatrix
-    n_photon: float = 0.0
-    P1: float = 0.0
-    P2: float = 0.0
-    p2_over_p1: float = float("nan")
-    postselected_overlap: float = None
-    iterations: int = 0
-    residual: float = 0.0
-    converged: bool = True
+    iterations: int
+    residual: float
+    converged: bool
 
 
 def check_ancilla_cut(alpha: complex, ancilla_cut: int) -> np.ndarray:
@@ -371,32 +368,33 @@ def fixed_point(channel, initial_rho: DensityMatrix, tol: float = 1e-9,
     )
 
 
-def steady_state_observables(report: SteadyStateReport,
-                             ground_states: np.ndarray = None) -> SteadyStateReport:
-    """Fill the scalar observables of a steady-state report in place.
+def steady_state_observables(rho: DensityMatrix,
+                             ground_states: np.ndarray = None) -> dict:
+    """The scalar observables of a steady state, keyed by their CSV names:
+    n_photon, P1, P2, P2_over_P1 and overlap.
 
     ground_states: (dim_sector2, 2) orthonormal columns spanning the target
     ground space; the postselected overlap is tr(Pi_g  Pi_2 rho Pi_2 / P2).
+    P2_over_P1 is nan where P1 = 0, and overlap is nan without ground
+    states or where P2 < 1e-14.
     """
-    rho = report.rho_fix
     basis = rho.basis
-    n_tot = basis.totals()
     diag = np.real(np.diag(rho.matrix))
-    report.n_photon = float(np.sum(n_tot * diag))
-    report.P1 = rho.sector_population(1) if 1 in basis.sectors else 0.0
-    report.P2 = rho.sector_population(2) if 2 in basis.sectors else 0.0
-    report.p2_over_p1 = report.P2 / report.P1 if report.P1 > 0 else float("nan")
-    if ground_states is not None:
-        if report.P2 < 1e-14:
-            report.postselected_overlap = None
-        else:
-            sl = basis.sector_slice(2)
-            block = rho.matrix[sl, sl] / report.P2
-            g = np.asarray(ground_states)
-            report.postselected_overlap = float(
-                np.real(np.trace(g.conj().T @ block @ g))
-            )
-    return report
+    p1 = rho.sector_population(1) if 1 in basis.sectors else 0.0
+    p2 = rho.sector_population(2) if 2 in basis.sectors else 0.0
+    overlap = float("nan")
+    if ground_states is not None and p2 >= 1e-14:
+        sl = basis.sector_slice(2)
+        block = rho.matrix[sl, sl] / p2
+        g = np.asarray(ground_states)
+        overlap = float(np.real(np.trace(g.conj().T @ block @ g)))
+    return {
+        "n_photon": float(np.sum(basis.totals() * diag)),
+        "P1": p1,
+        "P2": p2,
+        "P2_over_P1": p2 / p1 if p1 > 0 else float("nan"),
+        "overlap": overlap,
+    }
 
 
 # ---------------------------------------------------------------------------

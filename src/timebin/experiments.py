@@ -34,6 +34,7 @@ from .fock import enumerate_basis, product_fock_state
 from .lattice import build_bose_hubbard, build_fqh, step_operator
 from .schedule import (
     VARIANTS_1D,
+    _fmt,
     certify_equivalence,
     compile_1d,
     compile_2d,
@@ -59,16 +60,15 @@ from .subtraction import (
 )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return format(float(x), ".17g")
+def _create(path):
+    """Open path for writing, making its directory first: a run that fails
+    before its first write leaves no output directory behind."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w")
 
 
 def write_csv(path, header, rows):
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) if not isinstance(v, str) else v
@@ -76,7 +76,7 @@ def write_csv(path, header, rows):
 
 
 def write_json(path, payload):
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -264,17 +264,18 @@ def _one_blas_thread():
 
 
 def _steady_point(channel, k_dt, omega, tol, ground_states):
+    """One scan point's record, keyed by the steady-state CSV columns in
+    their order."""
     basis = channel.basis
     rho0 = product_fock_state(basis, (0,) * basis.n_modes).to_density_matrix()
     rep = fixed_point(channel.at_omega(omega), rho0, tol=tol,
                       max_iter=100_000)
-    rep = steady_state_observables(rep, ground_states)
-    return (
-        omega, k_dt, rep.n_photon, rep.P1, rep.P2, rep.p2_over_p1,
-        rep.postselected_overlap if rep.postselected_overlap is not None
-        else float("nan"),
-        rep.iterations, rep.residual, rep.converged,
-    )
+    return {
+        "Omega_drive": omega, "K_dt": k_dt,
+        **steady_state_observables(rep.rho_fix, ground_states),
+        "iterations": rep.iterations, "residual": rep.residual,
+        "converged": int(rep.converged),
+    }
 
 
 # what every scan worker shares: the channels by K_dt, tol, ground states;
@@ -322,33 +323,28 @@ def run_steady_state(cfg, outdir, threads: int = 1):
             initializer=_init_scan_worker,
             initargs=(channels, tol, gs.states),
         ) as pool:
-            results = list(pool.map(_scan_worker_point, jobs))
+            records = list(pool.map(_scan_worker_point, jobs))
     else:
-        results = [
+        records = [
             _steady_point(channels[k_dt], k_dt, om, tol, gs.states)
             for k_dt, om in jobs
         ]
-    results.sort(key=lambda r: (r[1], r[0]))
-    write_csv(
-        os.path.join(outdir, "steady_state.csv"),
-        ["Omega_drive", "K_dt", "n_photon", "P1", "P2", "P2_over_P1",
-         "overlap", "iterations", "residual", "converged"],
-        [r[:9] + (int(r[9]),) for r in results],
-    )
+    records.sort(key=lambda r: (r["K_dt"], r["Omega_drive"]))
+    write_csv(os.path.join(outdir, "steady_state.csv"), list(records[0]),
+              [r.values() for r in records])
     summary = {
         "eps_fqh": eps_fqh,
         "resonance_omega": eps_fqh / 2,
         "sector1_resonance": ground_space(spectra[1]).ground_energy,
         "gap": gs.gap,
-        "n_points": len(results),
-        "non_converged": sum(not r[9] for r in results),
+        "n_points": len(records),
+        "non_converged": sum(not r["converged"] for r in records),
     }
     for k_dt in cfg["K_dt_list"]:
-        sel = [r for r in results if r[1] == k_dt]
-        oms = np.array([r[0] for r in sel])
-        ovl = np.array([r[6] for r in sel])
-        ratio = np.array([r[5] for r in sel])
-        nph = np.array([r[2] for r in sel])
+        sel = [r for r in records if r["K_dt"] == k_dt]
+        oms, ovl, ratio, nph = (
+            np.array([r[key] for r in sel])
+            for key in ("Omega_drive", "overlap", "P2_over_P1", "n_photon"))
         key = f"Kdt_{_fmt(k_dt)}"
         # no overlap peak (null) where no point populated two photons
         peak = int(np.nanargmax(ovl)) if not np.isnan(ovl).all() else None
@@ -410,14 +406,14 @@ def run_incoherent(cfg, outdir):
 # --- subtraction ---------------------------------------------------------------
 
 
-def _benchmark_estimates(sq, d):
-    """The summary's square-pulse estimates at gamma = 4000, from that
-    pulse's derivation d at gamma = 4000."""
+def _benchmark_estimates(d):
+    """The summary's estimates, from the square pulse's derivation d at
+    gamma = 4000."""
     return {
-        "p_fail_k1": p_fail_k1(sq, 4000.0, d),
-        "p_fail_k2": p_fail_k2(sq, 4000.0, d),
-        "infidelity_k1": 1 - f_sub_single(sq, 4000.0, 1, d),
-        "infidelity_k2": 1 - f_sub_single(sq, 4000.0, 2, d),
+        "p_fail_k1": p_fail_k1(d),
+        "p_fail_k2": p_fail_k2(d),
+        "infidelity_k1": 1 - f_sub_single(d, 1),
+        "infidelity_k2": 1 - f_sub_single(d, 2),
     }
 
 
@@ -436,12 +432,12 @@ def run_subtraction(cfg, outdir):
         for gamma in cfg["gamma_grid"]:
             d = derive_quantities(pulse, gamma)
             if name == "square" and gamma == 4000.0:
-                benchmark = _benchmark_estimates(pulse, d)
-            pf1 = p_fail_k1(pulse, gamma, d)
-            pf2 = p_fail_k2(pulse, gamma, d)
+                benchmark = _benchmark_estimates(d)
+            pf1 = p_fail_k1(d)
+            pf2 = p_fail_k2(d)
             for k in cfg["k_list"]:
-                fs = f_sub_single(pulse, gamma, k, d)
-                fd = f_sub_double(pulse, gamma, k, d) if k >= 2 else float("nan")
+                fs = f_sub_single(d, k)
+                fd = f_sub_double(d, k) if k >= 2 else float("nan")
                 pf = pf1 if k == 1 else (pf2 if k == 2 else float("nan"))
                 rows.append((
                     name, k, gamma, pf, fs, fd,
@@ -503,7 +499,7 @@ def run_compile(cfg, outdir):
     model, layout, events = compile_schedule(cfg)
     basis = enumerate_basis(model.n_sites, {1})
 
-    with open(os.path.join(outdir, "schedule.txt"), "w") as fh:
+    with _create(os.path.join(outdir, "schedule.txt")) as fh:
         fh.write(serialize_schedule(layout, events))
     abstract = step_operator(model, dt, basis)
     op, firings = simulate_schedule(layout, events, basis)

@@ -60,7 +60,7 @@ class TimeBinLayout:
 
     n_waveguides: int
     bin_assignment: dict          # site -> (waveguide, arrival Fraction)
-    period: Fraction = None       # train period for circulating schedules
+    period: Fraction              # train period: arrivals compare modulo it
 
     def sites_on(self, wg: int):
         return [s for s, (w, _) in self.bin_assignment.items() if w == wg]
@@ -117,11 +117,8 @@ def _coincidences(layout, delays, wg_a, wg_b):
     out = []
     for sa, ta in arr_a:
         for sb, tb in arr_b:
-            if period is not None:
-                if (ta - tb) % period == 0:
-                    out.append((sa, sb, ta % period))
-            elif ta == tb:
-                out.append((sa, sb, ta))
+            if (ta - tb) % period == 0:
+                out.append((sa, sb, ta % period))
     out.sort(key=lambda x: x[2])
     return out
 
@@ -129,7 +126,7 @@ def _coincidences(layout, delays, wg_a, wg_b):
 def _check_collisions(arrivals, period, wg):
     seen = {}
     for s, t in arrivals:
-        key = t % period if period is not None else t
+        key = t % period
         if key in seen:
             raise ScheduleError(
                 f"bins for sites {seen[key]} and {s} collide on waveguide "
@@ -260,8 +257,6 @@ def compile_2d(N_x: int, N_y: int, l_x, l_y, theta: float, phases=None):
 
 def _in_window(t: Fraction, window, period) -> bool:
     lo, hi, _ = window
-    if period is None:
-        return lo <= t <= hi
     return (t - lo) % period <= (hi - lo)
 
 
@@ -331,7 +326,7 @@ def serialize_schedule(layout: TimeBinLayout, events) -> str:
     """Line-oriented text form: layout in comments, one event per line."""
     lines = [
         f"# waveguides {layout.n_waveguides}",
-        f"# period {layout.period if layout.period is not None else '-'}",
+        f"# period {layout.period}",
     ]
     for s in sorted(layout.bin_assignment):
         wg, t = layout.bin_assignment[s]
@@ -357,7 +352,8 @@ def serialize_schedule(layout: TimeBinLayout, events) -> str:
 
 
 def parse_schedule(text: str):
-    """Inverse of serialize_schedule."""
+    """Inverse of serialize_schedule; a text without its period line
+    raises ScheduleError."""
     n_wg = None
     period = None
     assignment = {}
@@ -371,7 +367,7 @@ def parse_schedule(text: str):
             if parts[1] == "waveguides":
                 n_wg = int(parts[2])
             elif parts[1] == "period":
-                period = None if parts[2] == "-" else Fraction(parts[2])
+                period = Fraction(parts[2])
             elif parts[1] == "bin":
                 assignment[int(parts[2])] = (int(parts[3]), Fraction(parts[4]))
             continue
@@ -400,4 +396,6 @@ def parse_schedule(text: str):
             )
         else:
             raise ScheduleError(f"cannot parse schedule line: {line}")
+    if period is None:
+        raise ScheduleError("schedule has no period line")
     return TimeBinLayout(n_wg, assignment, period), events

@@ -27,11 +27,11 @@ squared double integral reduces exactly to one-dimensional quadratures plus
 one backward exponential-kernel integral.  The same reduction applies to the
 two-layer subtraction fidelity.
 
-An estimator derives its inputs with derive_quantities(pulse, gamma) unless
-the caller passes that result as ``derived``, and integrates only the arrays
-that result holds: no estimator evaluates the pulse or marches a kernel
-again.  scipy.integrate and scipy.signal are imported where used, to keep
-them out of ``import timebin``.
+Every estimator takes one derivation d = derive_quantities(pulse, gamma)
+and reads gamma and the arrays from it alone: no estimator evaluates the
+pulse or marches a kernel again, and one derivation serves every estimate
+at its (pulse, gamma).  scipy.integrate and scipy.signal are imported
+where used, to keep them out of ``import timebin``.
 """
 
 from __future__ import annotations
@@ -214,20 +214,17 @@ def derive_quantities(pulse: PulseShape, gamma: float) -> SubtractionDerived:
     )
 
 
-def p_fail_k1(pulse: PulseShape, gamma: float,
-              derived: SubtractionDerived = None) -> float:
+def p_fail_k1(d: SubtractionDerived) -> float:
     """Single-photon subtraction failure probability
     int_0^inf |u - u~|^2, with the [1, inf) tail summed in closed form."""
     from scipy.integrate import simpson
-    d = derived or derive_quantities(pulse, gamma)
     diff = d.u - d.u_tilde
     body = simpson(diff**2, x=d.grid)
-    tail = d.u_tilde[-1] ** 2 / (4.0 * gamma)
+    tail = d.u_tilde[-1] ** 2 / (4.0 * d.gamma)
     return float(body + tail)
 
 
-def p_fail_k2(pulse: PulseShape, gamma: float,
-              derived: SubtractionDerived = None) -> float:
+def p_fail_k2(d: SubtractionDerived) -> float:
     """Two-photon subtraction failure probability from the squared
     time-ordered two-photon correlator.
 
@@ -241,8 +238,7 @@ def p_fail_k2(pulse: PulseShape, gamma: float,
     the integrand vanishes identically for t > 1.
     """
     from scipy.integrate import cumulative_simpson, simpson
-    d = derived or derive_quantities(pulse, gamma)
-    grid, u, ut = d.grid, d.u, d.u_tilde
+    grid, u, ut, gamma = d.grid, d.u, d.u_tilde, d.gamma
     h = 1.0 / (grid.size - 1)
     D = u - ut
     tail1 = ut[-1] ** 2 / (4.0 * gamma)
@@ -263,19 +259,16 @@ def p_fail_k2(pulse: PulseShape, gamma: float,
     return float(simpson(integrand, x=grid))
 
 
-def f_sub_single(pulse: PulseShape, gamma: float, k: int,
-                 derived: SubtractionDerived = None) -> float:
+def f_sub_single(d: SubtractionDerived, k: int) -> float:
     """Single-layer subtraction fidelity  |k int u~ u G^{k-1}|^2."""
     from scipy.integrate import simpson
     if k < 1:
         raise ValueError("k must be >= 1")
-    d = derived or derive_quantities(pulse, gamma)
     val = k * simpson(d.u_tilde * d.u * d.G ** (k - 1), x=d.grid)
     return float(val**2)
 
 
-def f_sub_double(pulse: PulseShape, gamma: float, k: int,
-                 derived: SubtractionDerived = None) -> float:
+def f_sub_double(d: SubtractionDerived, k: int) -> float:
     """Two-layer subtraction fidelity.
 
     |k(k-1) intint_{t1<=t2} [u~(t1) u~(t2,t1) + w~(t1) e^{-2g(t2-t1)} / 2]
@@ -285,7 +278,6 @@ def f_sub_double(pulse: PulseShape, gamma: float, k: int,
     from scipy.integrate import cumulative_simpson, simpson
     if k < 2:
         raise ValueError("two-layer fidelity needs k >= 2")
-    d = derived or derive_quantities(pulse, gamma)
     grid, u, ut, G, wt = d.grid, d.u, d.u_tilde, d.G, d.w_tilde
     h = 1.0 / (grid.size - 1)
 
@@ -295,7 +287,7 @@ def f_sub_double(pulse: PulseShape, gamma: float, k: int,
 
     # B(t) = int_t^1 u(t2) G(t2)^{k-2} e^{-2 gamma (t2-t)} dt2, backward
     fb = d.u_half * np.clip(d.G_half, 0.0, None) ** (k - 2)
-    B = _rk4_filter(-2.0 * gamma, h, fb[::-1])[::-1]
+    B = _rk4_filter(-2.0 * d.gamma, h, fb[::-1])[::-1]
 
     inner = u * ut * A + u * (0.5 * wt - ut**2) * B
     val = k * (k - 1) * simpson(inner, x=grid)

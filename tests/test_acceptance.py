@@ -39,6 +39,7 @@ from timebin.spectral import (
 from timebin.subtraction import (
     PulseShape,
     closed_form_infidelity_square,
+    derive_quantities,
     f_sub_double,
     f_sub_single,
     p_fail_k1,
@@ -62,8 +63,9 @@ def spec2(fqh):
 def test_criterion_1_subtraction_closed_forms():
     sq = PulseShape.square()
     g = 4000.0
-    inf1 = 1 - f_sub_single(sq, g, 1)
-    inf2 = 1 - f_sub_single(sq, g, 2)
+    d = derive_quantities(sq, g)
+    inf1 = 1 - f_sub_single(d, 1)
+    inf2 = 1 - f_sub_single(d, 2)
     assert inf1 == pytest.approx(2.5e-4, rel=0.02)
     assert inf1 == pytest.approx(closed_form_infidelity_square(g, 1), rel=0.02)
     assert inf2 == pytest.approx(5.0e-4, rel=0.02)
@@ -73,9 +75,9 @@ def test_criterion_1_subtraction_closed_forms():
     # check is against the full-precision value
     e2, e4 = np.exp(-2 * g), np.exp(-4 * g)
     exact = (1 - e4) / (4 * g) + (1 - e2) ** 2 / (4 * g)
-    p1 = p_fail_k1(sq, g)
+    p1 = p_fail_k1(d)
     assert p1 == pytest.approx(exact, rel=0.02)
-    p2 = p_fail_k2(sq, g)
+    p2 = p_fail_k2(d)
     assert p2 == pytest.approx(p1, rel=0.05)
     print(
         f"\nACCEPTANCE 1 PASS: 1-F_sub(k=1)={inf1:.4e}, 1-F_sub(k=2)="
@@ -87,17 +89,20 @@ def test_criterion_2_scaling_laws():
     sq = PulseShape.square()
     bump = PulseShape.bump()
     gammas = np.array([1e2, 1e3, 1e4])
+    sq_at = [derive_quantities(sq, g) for g in gammas]
     slopes = {}
     for k in (1, 2, 3):
-        vals = [1 - f_sub_single(sq, g, k) for g in gammas]
+        vals = [1 - f_sub_single(d, k) for d in sq_at]
         slopes[f"single_k{k}"] = np.polyfit(np.log(gammas), np.log(vals), 1)[0]
     for k in (2, 3, 4):
-        vals = [1 - f_sub_double(sq, g, k) for g in gammas]
+        vals = [1 - f_sub_double(d, k) for d in sq_at]
         slopes[f"double_k{k}"] = np.polyfit(np.log(gammas), np.log(vals), 1)[0]
+    del sq_at
     for name, s in slopes.items():
         assert s == pytest.approx(-1.0, abs=0.1), name
     for g in (10.0, 100.0, 1000.0, 10000.0):
-        assert 1 - f_sub_single(bump, g, 1) < 1 - f_sub_single(sq, g, 1)
+        assert (1 - f_sub_single(derive_quantities(bump, g), 1)
+                < 1 - f_sub_single(derive_quantities(sq, g), 1))
     print(f"\nACCEPTANCE 2 PASS: slopes={ {k: round(v, 3) for k, v in slopes.items()} }")
 
 

@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -89,6 +90,12 @@ def test_compile_square_default_pitch_follows_l_x(tmp_path):
     # a Fock basis above MAX_BASIS_STATES (4,845 and 16,524 states)
     ["incoherent", "--set", "n_max=4"],
     ["spectrum", "--set", "sectors=[1,2,5]"],
+    # rules only the protocol build checks: a transfer probability of 717
+    # per circulation, and U = 0 (no two-state ground doublet)
+    ["incoherent", "--set", "N_x=2", "--set", "N_y=2",
+     "--set", "n_circulations=3", "--set", "chi=5.0"],
+    ["incoherent", "--set", "N_x=2", "--set", "N_y=2",
+     "--set", "n_circulations=3", "--set", "U=0"],
 ])
 def test_model_errors_exit_one(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -259,7 +266,8 @@ def cli_configs(draw):
                          "chi": 5.0}))
 def test_cli_fuzz_exits_cleanly(config):
     # every --set config ends in exit 0, 1 or 2, with an error line for the
-    # nonzero codes, and never in an exception
+    # nonzero codes, and never in an exception; exit 1 writes nothing, and
+    # the other codes write manifest.json
     experiment, cfg = config
     argv = [experiment]
     for key, value in cfg.items():
@@ -268,8 +276,11 @@ def test_cli_fuzz_exits_cleanly(config):
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        rc = cli.main(argv + ["--out", tmp + "/out"])
+        out = Path(tmp) / "out"
+        rc = cli.main(argv + ["--out", str(out)])
+        written = out.exists(), (out / "manifest.json").exists()
     assert rc in (0, 1, 2)
+    assert written == ((False, False) if rc == 1 else (True, True))
     assert "Traceback" not in err.getvalue()
     if rc:
         assert err.getvalue().startswith("error:")

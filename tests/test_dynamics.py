@@ -343,11 +343,11 @@ def test_fixed_point_pure_loss_reaches_vacuum(small_basis):
 
 def test_observables_vacuum(small_basis):
     vac = product_fock_state(small_basis, (0,) * 4).to_density_matrix()
-    from timebin.dynamics import SteadyStateReport
-
-    rep = steady_state_observables(SteadyStateReport(rho_fix=vac))
-    assert rep.n_photon == 0.0
-    assert rep.P1 == 0.0 and rep.P2 == 0.0
+    obs = steady_state_observables(vac)
+    assert list(obs) == ["n_photon", "P1", "P2", "P2_over_P1", "overlap"]
+    assert obs["n_photon"] == 0.0
+    assert obs["P1"] == 0.0 and obs["P2"] == 0.0
+    assert np.isnan(obs["P2_over_P1"]) and np.isnan(obs["overlap"])
 
 
 def test_observables_postselection(small_model):
@@ -359,13 +359,44 @@ def test_observables_postselection(small_model):
     g, _ = np.linalg.qr(rng.normal(size=(dim2, 2)) + 1j * rng.normal(size=(dim2, 2)))
     psi = np.zeros(basis.dim, dtype=complex)
     psi[sl] = g[:, 0]
-    from timebin.dynamics import SteadyStateReport
+    obs = steady_state_observables(
+        DensityMatrix(basis, np.outer(psi, psi.conj())), g)
+    assert obs["P2"] == pytest.approx(1.0)
+    assert obs["overlap"] == pytest.approx(1.0, abs=1e-12)
+    assert obs["n_photon"] == pytest.approx(2.0)
 
-    rep = SteadyStateReport(rho_fix=DensityMatrix(basis, np.outer(psi, psi.conj())))
-    rep = steady_state_observables(rep, g)
-    assert rep.P2 == pytest.approx(1.0)
-    assert rep.postselected_overlap == pytest.approx(1.0, abs=1e-12)
-    assert rep.n_photon == pytest.approx(2.0)
+
+@settings(max_examples=60)
+@given(
+    a=hnp.arrays(np.float64, (2, 15, 15), elements=st.floats(-1.0, 1.0)),
+    sectors=st.sets(st.sampled_from((0, 1, 2)), min_size=1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_observables_of_random_density_matrices(a, sectors, seed):
+    # rho = A A^dag / tr on the kept sectors only, so P1 or P2 can vanish
+    basis = enumerate_basis(4, range(3))
+    a = a[0] + 1j * a[1]
+    a[~np.isin(basis.totals(), sorted(sectors))] = 0.0
+    rho = a @ a.conj().T
+    assume(np.trace(rho).real > 1e-6)
+    rho = DensityMatrix(basis, rho / np.trace(rho).real)
+    sl = basis.sector_slice(2)
+    rng = np.random.default_rng(seed)
+    g, _ = np.linalg.qr(rng.normal(size=(sl.stop - sl.start, 2))
+                        + 1j * rng.normal(size=(sl.stop - sl.start, 2)))
+    before = rho.matrix.copy()
+    obs = steady_state_observables(rho, g)
+    assert np.array_equal(rho.matrix, before)
+    p1, p2 = obs["P1"], obs["P2"]
+    assert obs["n_photon"] == pytest.approx(p1 + 2 * p2, abs=1e-12)
+    if p1 > 0:
+        assert obs["P2_over_P1"] == p2 / p1
+    else:
+        assert np.isnan(obs["P2_over_P1"])
+    if p2 > 1e-14:
+        assert -1e-12 <= obs["overlap"] <= 1 + 1e-12
+    else:
+        assert np.isnan(obs["overlap"])
 
 
 # --- incoherent protocol ---------------------------------------------------

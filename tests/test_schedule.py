@@ -267,6 +267,9 @@ def test_serialization_roundtrip_and_golden():
     u1, _ = simulate_schedule(layout, events, basis)
     u2, _ = simulate_schedule(layout2, events2, basis)
     assert np.max(np.abs(u1.to_dense() - u2.to_dense())) == 0.0
+    # every layout circulates, so a text without its period is refused
+    with pytest.raises(ScheduleError):
+        parse_schedule(text.replace("# period 4\n", ""))
 
 
 def test_2d_golden():

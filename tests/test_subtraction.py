@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -66,48 +67,51 @@ def test_p_fail_k1_square_benchmark(square):
     # the benchmark coupling gives exactly (1-e^{-4g})/4g + (1-e^{-2g})^2/4g
     # = 1.24997e-4, quoted as 0.00012 at two significant figures
     g = 4000.0
-    p = p_fail_k1(square, g)
+    p = p_fail_k1(derive_quantities(square, g))
     assert p == pytest.approx(exact_square_p_fail(g), rel=1e-4)
     assert p == pytest.approx(1.25e-4, rel=0.02)
 
 
 def test_p_fail_monotone_in_gamma(square, bump):
     for pulse in (square, bump):
-        vals = [p_fail_k1(pulse, g) for g in (10.0, 1e2, 1e3, 1e4)]
+        vals = [p_fail_k1(derive_quantities(pulse, g))
+                for g in (10.0, 1e2, 1e3, 1e4)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_p_fail_small_gamma_limit(square):
     # no smoothing: u~ ~ 0 and p_fail -> int |u|^2 = 1
-    assert p_fail_k1(square, 1e-6) == pytest.approx(1.0, abs=1e-4)
-    assert p_fail_k2(square, 1e-6) == pytest.approx(1.0, abs=1e-4)
+    d = derive_quantities(square, 1e-6)
+    assert p_fail_k1(d) == pytest.approx(1.0, abs=1e-4)
+    assert p_fail_k2(d) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_p_fail_k2_matches_k1_at_benchmark(square):
-    g = 4000.0
-    p2 = p_fail_k2(square, g)
-    p1 = p_fail_k1(square, g)
+    d = derive_quantities(square, 4000.0)
+    p2 = p_fail_k2(d)
+    p1 = p_fail_k1(d)
     assert p2 == pytest.approx(p1, rel=0.05)
 
 
 def test_p_fail_k2_bounded_by_subtraction_infidelity(square, bump):
     for pulse in (square, bump):
         for g in (10.0, 100.0, 1000.0):
-            assert p_fail_k2(pulse, g) <= 1 - f_sub_single(pulse, g, 2) + 1e-12
+            d = derive_quantities(pulse, g)
+            assert p_fail_k2(d) <= 1 - f_sub_single(d, 2) + 1e-12
 
 
 def test_closed_forms_match_quadrature(square):
     for g in (1.0, 10.0, 100.0):
         for k in (1, 2):
-            quad_val = 1 - f_sub_single(square, g, k)
+            quad_val = 1 - f_sub_single(derive_quantities(square, g), k)
             closed = closed_form_infidelity_square(g, k)
             assert quad_val == pytest.approx(closed, rel=1e-6)
 
 
 def test_f_sub_benchmark_values(square):
-    g = 4000.0
-    assert 1 - f_sub_single(square, g, 1) == pytest.approx(2.5e-4, rel=0.02)
-    assert 1 - f_sub_single(square, g, 2) == pytest.approx(5.0e-4, rel=0.02)
+    d = derive_quantities(square, 4000.0)
+    assert 1 - f_sub_single(d, 1) == pytest.approx(2.5e-4, rel=0.02)
+    assert 1 - f_sub_single(d, 2) == pytest.approx(5.0e-4, rel=0.02)
 
 
 def test_single_layer_scaling(square):
@@ -115,7 +119,8 @@ def test_single_layer_scaling(square):
     # pulse; the bump decays faster since its endpoints vanish)
     gs = np.array([1e2, 1e3, 1e4])
     for k in (1, 2, 3):
-        vals = np.array([1 - f_sub_single(square, g, k) for g in gs])
+        vals = np.array([1 - f_sub_single(derive_quantities(square, g), k)
+                         for g in gs])
         slope = np.polyfit(np.log(gs), np.log(vals), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.1)
 
@@ -123,33 +128,37 @@ def test_single_layer_scaling(square):
 def test_double_layer_scaling_and_k_monotonicity(square):
     gs = np.array([1e2, 1e3, 1e4])
     for k in (2, 3, 4):
-        vals = np.array([1 - f_sub_double(square, g, k) for g in gs])
+        vals = np.array([1 - f_sub_double(derive_quantities(square, g), k)
+                         for g in gs])
         slope = np.polyfit(np.log(gs), np.log(vals), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.1)
-    at60 = [1 - f_sub_double(square, 60.0, k) for k in (2, 3, 4, 5)]
+    d = derive_quantities(square, 60.0)
+    at60 = [1 - f_sub_double(d, k) for k in (2, 3, 4, 5)]
     assert all(a < b for a, b in zip(at60, at60[1:]))
 
 
 def test_double_layer_small_gamma(square):
-    assert f_sub_double(square, 1e-6, 2) == pytest.approx(0.0, abs=1e-6)
+    assert f_sub_double(derive_quantities(square, 1e-6), 2) == pytest.approx(
+        0.0, abs=1e-6)
     with pytest.raises(ValueError):
-        f_sub_double(square, 10.0, 1)
+        f_sub_double(derive_quantities(square, 10.0), 1)
 
 
 def test_bump_beats_square(square, bump):
     for g in (10.0, 100.0, 1000.0):
-        assert 1 - f_sub_single(bump, g, 1) < 1 - f_sub_single(square, g, 1)
+        assert (1 - f_sub_single(derive_quantities(bump, g), 1)
+                < 1 - f_sub_single(derive_quantities(square, g), 1))
 
 
 def test_quadrature_convergence(square, bump):
     # doubling the base grid moves the reported values by < 1e-7 relative
     for g in (50.0, 4000.0):
         for mk, k in ((f_sub_single, 1), (f_sub_double, 2)):
-            coarse = mk(PulseShape.square(4097), g, k)
-            fine = mk(PulseShape.square(8193), g, k)
+            coarse = mk(derive_quantities(PulseShape.square(4097), g), k)
+            fine = mk(derive_quantities(PulseShape.square(8193), g), k)
             assert abs(fine - coarse) <= 1e-7 * max(abs(fine), 1e-30)
-    pb1 = p_fail_k1(PulseShape.bump(4097), 100.0)
-    pb2 = p_fail_k1(PulseShape.bump(8193), 100.0)
+    pb1 = p_fail_k1(derive_quantities(PulseShape.bump(4097), 100.0))
+    pb2 = p_fail_k1(derive_quantities(PulseShape.bump(8193), 100.0))
     assert abs(pb2 - pb1) <= 1e-7 * pb1
 
 
@@ -180,21 +189,24 @@ def test_lipschitz_threshold_controls_p_fail(bump):
     # threshold, p_fail < 4 eps
     for eps in (0.05, 0.02, 0.01):
         g = lipschitz_gamma_threshold(bump, eps)
-        assert p_fail_k1(bump, g) < 4 * eps
+        assert p_fail_k1(derive_quantities(bump, g)) < 4 * eps
     with pytest.raises(ValueError):
         lipschitz_gamma_threshold(bump, 0.5)
 
 
-def test_estimators_take_a_shared_derivation(square, bump):
-    # passing derive_quantities' result gives the same bits as deriving
-    for pulse in (square, bump):
-        d = derive_quantities(pulse, 316.0)
-        assert p_fail_k1(pulse, 316.0, d) == p_fail_k1(pulse, 316.0)
-        assert p_fail_k2(pulse, 316.0, d) == p_fail_k2(pulse, 316.0)
-        for k in (1, 2, 3):
-            assert f_sub_single(pulse, 316.0, k, d) == f_sub_single(pulse, 316.0, k)
-        for k in (2, 3):
-            assert f_sub_double(pulse, 316.0, k, d) == f_sub_double(pulse, 316.0, k)
+def test_estimators_read_only_their_derivation(square):
+    # each estimator takes one derivation and no pulse, gamma or second
+    # derivation, and reads gamma from it: the square-pulse values follow
+    # the closed forms at the derivation's own gamma
+    for est in (p_fail_k1, p_fail_k2, f_sub_single, f_sub_double):
+        params = list(inspect.signature(est).parameters)
+        assert params[0] == "d" and set(params) <= {"d", "k"}, est.__name__
+    for g in (20.0, 300.0):
+        d = derive_quantities(square, g)
+        assert p_fail_k1(d) == pytest.approx(exact_square_p_fail(g), rel=1e-4)
+        for k in (1, 2):
+            assert 1 - f_sub_single(d, k) == pytest.approx(
+                closed_form_infidelity_square(g, k), rel=1e-6)
 
 
 def test_half_step_arrays_are_the_pulse_on_the_half_grid(square, bump):
@@ -230,8 +242,9 @@ def test_run_subtraction_derives_once_per_pulse_and_gamma(monkeypatch, tmp_path)
     assert sorted(calls) == sorted(
         (p, g) for p in ("square", "bump") for g in (50.0, 4000.0))
     sq = PulseShape.square(257)
-    assert summary["p_fail_k2"] == p_fail_k2(sq, 4000.0)
-    assert summary["infidelity_k2"] == 1 - f_sub_single(sq, 4000.0, 2)
+    d = derive_quantities(sq, 4000.0)
+    assert summary["p_fail_k2"] == p_fail_k2(d)
+    assert summary["infidelity_k2"] == 1 - f_sub_single(d, 2)
     # a grid without the gamma = 4000 row derives nothing more, and its
     # summary's estimates are null
     calls.clear()
