@@ -94,6 +94,51 @@ def _fqh_model(cfg):
     )
 
 
+# --- BLAS threads ------------------------------------------------------------
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS copies bundled with
+    numpy (64-bit interface) and scipy; empty where those are absent."""
+    controls = []
+    for pkg, suffix in ((np, "64_"), (scipy, "")):
+        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)),
+                            pkg.__name__ + ".libs", "libscipy_openblas*")
+        for path in glob.glob(libs):
+            try:
+                lib = ctypes.CDLL(path)
+                get_n = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+                set_n = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            except (OSError, AttributeError):
+                continue
+            get_n.argtypes, get_n.restype = [], ctypes.c_int
+            set_n.argtypes, set_n.restype = [ctypes.c_int], None
+            controls.append((get_n, set_n))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block (or, as a decorator, the function) with BLAS on one
+    thread, then restore the old counts.
+
+    A run then does the same arithmetic, and writes the same bytes, whatever
+    OPENBLAS_NUM_THREADS says: the spectrum's degenerate eigenvectors and
+    the last bits of its energies follow the BLAS blocking.  The
+    steady-state scan does the same arithmetic serially and in pool
+    workers, and pool workers do not oversubscribe the cores."""
+    controls = _openblas_thread_controls()
+    saved = [get_n() for get_n, _ in controls]
+    for _, set_n in controls:
+        set_n(1)
+    try:
+        yield
+    finally:
+        for (_, set_n), n in zip(controls, saved):
+            set_n(n)
+
+
 # --- quench ------------------------------------------------------------------
 
 
@@ -184,7 +229,15 @@ def free_boson_correlator(model, dt, n_steps, init_sites) -> np.ndarray:
 # --- spectrum ----------------------------------------------------------------
 
 
+@_one_blas_thread()
 def run_spectrum(cfg, outdir):
+    """Effective energies per sector (``energies.csv``) and the sector-2
+    ground doublet's energies, gap and analytic overlap (``summary.json``).
+
+    ``alpha_*`` and ``beta_*`` are coefficients in the eigensolver's basis
+    of an exactly degenerate doublet, not physics; ``overlap_value``, ``gap``
+    and ``ground_energy`` read only its span and energies.  BLAS runs on one
+    thread, so a config writes the same bytes for any thread setting."""
     model = _fqh_model(cfg)
     dt = cfg["delta_t"]
     spectra = sector_spectra(model, dt,
@@ -221,46 +274,6 @@ def run_spectrum(cfg, outdir):
 
 
 # --- steady state ------------------------------------------------------------
-
-
-@functools.cache
-def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of the OpenBLAS copies bundled with
-    numpy (64-bit interface) and scipy; empty where those are absent."""
-    controls = []
-    for pkg, suffix in ((np, "64_"), (scipy, "")):
-        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)),
-                            pkg.__name__ + ".libs", "libscipy_openblas*")
-        for path in glob.glob(libs):
-            try:
-                lib = ctypes.CDLL(path)
-                get_n = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
-                set_n = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
-            except (OSError, AttributeError):
-                continue
-            get_n.argtypes, get_n.restype = [], ctypes.c_int
-            set_n.argtypes, set_n.restype = [ctypes.c_int], None
-            controls.append((get_n, set_n))
-    return tuple(controls)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block (or, as a decorator, the function) with BLAS on one
-    thread, then restore the old counts.
-
-    The steady-state scan then does the same arithmetic serially and in
-    pool workers, whatever OPENBLAS_NUM_THREADS says, and pool workers do
-    not oversubscribe the cores."""
-    controls = _openblas_thread_controls()
-    saved = [get_n() for get_n, _ in controls]
-    for _, set_n in controls:
-        set_n(1)
-    try:
-        yield
-    finally:
-        for (_, set_n), n in zip(controls, saved):
-            set_n(n)
 
 
 def _steady_point(channel, k_dt, omega, tol, ground_states):

@@ -1,5 +1,5 @@
-"""The single-photon-ancilla protocol as a user runs it: the same bytes for
-every BLAS thread setting."""
+"""The single-photon-ancilla protocol and the spectrum as a user runs them:
+the same bytes for every BLAS thread setting."""
 
 import os
 import subprocess
@@ -9,7 +9,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_incoherent_bytes_do_not_depend_on_blas_threads(tmp_path):
+def _assert_same_bytes_for_blas_threads(tmp_path, argv, outputs):
     # the default 4x4 model: smaller tori may stay below the sizes at which
     # OpenBLAS starts threads, so they cannot show an unpinned build
     outs = []
@@ -21,10 +21,22 @@ def test_incoherent_bytes_do_not_depend_on_blas_threads(tmp_path):
         env["PYTHONPATH"] = str(SRC)
         out = tmp_path / f"blas{blas}"
         subprocess.run(
-            [sys.executable, "-m", "timebin.cli", "incoherent",
-             "--set", "n_circulations=50", "--out", str(out)],
+            [sys.executable, "-m", "timebin.cli", *argv, "--out", str(out)],
             env=env, check=True, capture_output=True, timeout=300,
         )
         outs.append(out)
-    for name in ("incoherent_trace.csv", "summary.json"):
+    for name in outputs:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_incoherent_bytes_do_not_depend_on_blas_threads(tmp_path):
+    _assert_same_bytes_for_blas_threads(
+        tmp_path, ["incoherent", "--set", "n_circulations=50"],
+        ("incoherent_trace.csv", "summary.json"))
+
+
+def test_spectrum_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the sector-2 doublet is exactly degenerate, so its eigenvectors, and
+    # with them the summary's alpha and beta, follow the BLAS blocking
+    _assert_same_bytes_for_blas_threads(
+        tmp_path, ["spectrum"], ("energies.csv", "summary.json"))

@@ -272,6 +272,24 @@ def test_serialization_roundtrip_and_golden():
         parse_schedule(text.replace("# period 4\n", ""))
 
 
+def test_text_without_waveguide_count_is_refused():
+    text = (GOLDEN / "bh8_even_simple.sched").read_text()
+    with pytest.raises(ScheduleError, match="waveguides"):
+        parse_schedule(text.replace("# waveguides 2\n", ""))
+
+
+def test_short_event_line_is_refused():
+    text = (GOLDEN / "bh8_even_simple.sched").read_text()
+    with pytest.raises(ScheduleError, match="BS 0"):
+        parse_schedule(text + "BS 0\n")
+
+
+def test_bare_comment_mark_is_refused():
+    text = (GOLDEN / "bh8_even_simple.sched").read_text()
+    with pytest.raises(ScheduleError, match="line: #"):
+        parse_schedule(text + "#\n")
+
+
 def test_2d_golden():
     model = build_fqh(4, 4, 1.0, 0.0, 0.25)
     phases = {(a, b): cmath.phase(w) for a, b, w in model.edges}

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-from timebin import spectral
+from timebin import cli, experiments, spectral
 from timebin.dynamics import IncoherentProtocol
 from timebin.fock import enumerate_basis
 from timebin.lattice import build_fqh, exact_hamiltonian
@@ -65,6 +68,73 @@ def test_effective_energies_match_hermitian_oracle():
 def test_effective_energies_rejects_nonunitary():
     with pytest.raises(ValueError):
         effective_energies(np.diag([1.0, 0.5]), DT)
+
+
+def test_effective_energies_rejects_a_jordan_block():
+    # |diag T| = 1, but no orthonormal eigenbasis exists
+    with pytest.raises(ValueError, match="not unitary"):
+        effective_energies(np.array([[1.0, 1.0], [0.0, 1.0]]), DT)
+
+
+def _haar(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_an_eigenvalue_on_the_first_pole_decomposes_silently(capfd):
+    # -e^{i alpha_0} makes I + V singular for the first shift: the solver
+    # moves on to the next one, and no LinAlgWarning reaches the user
+    pole = -np.exp(1j * spectral.CAYLEY_SHIFTS[0])
+    rng = np.random.default_rng(11)
+    q = _haar(rng, 6)
+    planted = np.concatenate([[pole], np.exp(1j * rng.uniform(-3, 3, 5))])
+    for u in ((q * planted) @ q.conj().T, np.diag(planted),
+              np.array([[0.0, 1.0], [1.0, 0.0]]) * -pole):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = effective_energies(u, DT)
+        q_res, u_res = res.eigenvectors, res.eigenphases
+        assert np.max(np.abs(u @ q_res - q_res * u_res)) <= spectral.UNITARY_TOL
+        assert np.min(np.abs(u_res - pole)) < 1e-12
+        assert np.max(np.abs(q_res.conj().T @ q_res - np.eye(len(u)))) < 1e-12
+    assert capfd.readouterr().err == ""
+
+
+@st.composite
+def _planted_spectra(draw):
+    """(seed, cluster sizes, their phases on a 100-point grid, and a phase
+    within 1e-9 of the branch cut on either side)."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    slots = draw(st.lists(st.integers(1, 99), min_size=len(sizes),
+                          max_size=len(sizes), unique=True))
+    cut = draw(st.floats(1e-11, 1e-9)) * draw(st.sampled_from([1, -1]))
+    return draw(st.integers(0, 2**32 - 1)), sizes, slots, cut
+
+
+@settings(max_examples=60)
+@given(_planted_spectra())
+def test_effective_energies_recover_planted_degenerate_spectra(planted):
+    seed, sizes, slots, cut = planted
+    # arg u = +-(pi - |cut|): that energy lies within 4e-9 of -+pi/dt
+    phases = [-np.pi + 2 * np.pi * s / 100 for s in slots] + [
+        np.sign(cut) * (np.pi - abs(cut))]
+    sizes = sizes + [1]
+    arg = np.repeat(phases, sizes)
+    q = _haar(np.random.default_rng(seed), len(arg))
+    u = (q * np.exp(1j * arg)) @ q.conj().T
+    res = effective_energies(u, DT)
+    vecs = res.eigenvectors
+    assert np.max(np.abs(u @ vecs - vecs * res.eigenphases)) <= (
+        spectral.UNITARY_TOL)
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(len(arg)))) <= 1e-12
+    planted_e = np.sort(-arg / DT)
+    assert np.max(np.abs(res.energies - planted_e)) <= 1e-10
+    assert np.array_equal(res.aliased, np.abs(planted_e) > np.pi / DT - 1e-6)
+    assert res.aliased.sum() == 1
+    by_energy = np.argsort(-np.asarray(phases), kind="stable")
+    groups = spectral._manifolds(res.energies, np.arange(len(arg)), DT)
+    assert [len(g) for g in groups] == [sizes[i] for i in by_energy]
 
 
 def test_branch_cut_flagging():
@@ -209,6 +279,28 @@ def test_benchmark_overlap(fqh_u10, spec2_u10):
     _, _, val = overlap_optimize(ana.amplitudes, gs.states[:, 0], gs.states[:, 1])
     assert val >= 0.90
     assert val == pytest.approx(0.945, abs=0.01)
+
+
+def test_spectrum_summary_is_basis_free_in_the_doublet(tmp_path, monkeypatch):
+    # the 4x4 doublet is exactly degenerate, so any orthonormal basis of its
+    # span is an eigenbasis: alpha and beta are coefficients in the
+    # solver's basis, while the overlap, gap and ground energy read only the
+    # span and the energies
+    cfg = cli.load_config("spectrum")
+    plain = experiments.run_spectrum(cfg, str(tmp_path / "plain"))
+    q = _haar(np.random.default_rng(23), 2)
+
+    def rotated(*args):
+        spectra = sector_spectra(*args)
+        pair = spectra[2].order[:2]
+        spectra[2].eigenvectors[:, pair] = spectra[2].eigenvectors[:, pair] @ q
+        return spectra
+
+    monkeypatch.setattr(experiments, "sector_spectra", rotated)
+    turned = experiments.run_spectrum(cfg, str(tmp_path / "turned"))
+    for key in ("overlap_value", "gap", "ground_energy"):
+        assert turned[key] == pytest.approx(plain[key], abs=1e-12), key
+    assert abs(turned["alpha_re"] - plain["alpha_re"]) > 1e-3
 
 
 def test_trotter_energies_near_exact_hamiltonian(fqh_u10):
