@@ -39,7 +39,10 @@ resonant, which is what funnels population into the two-photon ground
 space.  Each manifold's state is taken proportional to its projector, the
 secular approximation over manifolds, so W_j and the answer do not depend
 on which eigenvectors span a manifold.  Which manifold holds a sector's
-ground is the ground rule of ``spectral``.
+ground is the ground rule of ``spectral``.  A lattice shift T that commutes
+with the steps of both sectors of a pair maps each of their manifolds onto
+itself and b_j onto b_{Tj}, so W_{Tj} = W_j: the sites of one orbit of T
+share one W_j, computed once (on the 4x4 torus 4 orbits of 4 sites).
 """
 
 from __future__ import annotations
@@ -445,6 +448,10 @@ class IncoherentProtocol:
     A doublet that no run of lowest manifolds fills exactly, an aliased
     doublet, and a coupling under which the explicit step could drive
     populations negative (and diverge) raise ProtocolError.
+
+    The sites of one orbit of the shift that commutes with both sectors of
+    a pair (the lcm of their ``shift``) share their manifold weights W_j
+    (module docstring); without such a shift every site has its own.
     """
 
     def __init__(self, model: LatticeModel, delta_t: float, chi: float,
@@ -503,8 +510,13 @@ class IncoherentProtocol:
                                     for m in sec.manifolds]))
             vecs.append(sec.eigenvectors[:, np.concatenate(sec.manifolds)])
             starts.append(np.cumsum(size) - size)
+        # pair k's shared shift, lcm(shifts) rows, moves site j to
+        # j + stride: W_j is computed for sites 0..stride-1 and indexed
+        n_sites, n_last = self.model.n_sites, self.model.shape[-1]
+        strides = [math.lcm(lo.shift, hi.shift) * n_sites // n_last
+                   for lo, hi in zip(self.sectors, self.sectors[1:])]
         bdag = [ladder_operator(basis, j, "create").entries
-                for j in range(self.model.n_sites)]
+                for j in range(max(strides))]
         # per sector pair k -> k+1: the stack (n_sites, M_hi * M_lo) of the
         # manifold weights W_j, the kernels k10, k21 (M_hi, M_lo), and the
         # per-site column sums (2, n_sites, M_lo) and row sums
@@ -521,7 +533,7 @@ class IncoherentProtocol:
                 np.add.reduceat(np.add.reduceat(
                     np.abs(v_hi_h @ (b[hi, lo] @ vecs[k])) ** 2,
                     starts[k + 1], axis=0), starts[k], axis=1)
-                for b in bdag])
+                for b in bdag[:strides[k]]])[np.arange(n_sites) % strides[k]]
             self._pairs.append((
                 w.reshape(len(w), -1), k10, k21,
                 np.stack([np.einsum("FI,jFI->jI", kk, w) for kk in (k10, k21)]),

@@ -12,9 +12,27 @@ a step unitary through its Hermitian Cayley transform.  For V = e^{-i alpha} U
 the matrix C = i(2 (I + V)^{-1} - I) is Hermitian, has U's eigenvectors, and
 maps V's eigenvalue e^{i theta} to tan(theta / 2).  One LU inverse and one
 Hermitian eigensolve (``eigh``, driver evr) cost about half of a complex
-Schur decomposition: 0.72 s against 1.34 s for the 816-state sector 3 of the
-4x4 torus (2-core x86 host, BLAS on one thread).  The result is kept only when
-U = Q diag(u) Q^dag holds to UNITARY_TOL (see ``effective_energies``).
+Schur decomposition.  The result is kept only when U = Q diag(u) Q^dag holds
+to UNITARY_TOL (see ``effective_energies``).
+
+Momentum blocks: ``sector_spectra`` feeds ``effective_energies`` the blocks
+of a lattice translation that commutes with the sector's step.  The
+candidates shift the sites by s rows of the model's last axis (y on the
+square lattice, x on a chain), i -> (i + s n_sites / N_last) mod n_sites,
+for each s dividing N_last in ascending order; the first whose state
+permutation T commutes with the step block to UNITARY_TOL, entry by entry,
+is used.  Its N_last / s momentum blocks B_k^dag U B_k (sparse orbit
+isometries B_k) are diagonalized one by one, each under the contract above,
+and Q is the direct sum of the B_k Q_k.  The blocks are exact: the B_k
+together are a unitary, U leaks out of a block only by its commutator with
+T, and each block's residual is checked.  A model that no shorter shift
+fits, an open lattice or a broken translation, reaches s = N_last, the
+identity: one block, the sector's step itself, through the same code.  On
+the 4x4 quarter-flux torus the unit shift commutes with every sector, and
+the 816-state sector 3 splits into four blocks of 204 states, solved in
+0.08 s against 0.69-0.72 s in one block; ``sector_spectra`` of sectors
+0..3 takes 0.26 s against 0.94 s (2-core x86 host, BLAS on one thread,
+best of three).
 
 Ground rule, pinned package-wide: at strong U a sector's interaction tops
 wrap below its ground on the principal branch, so ``sector_spectra`` sorts
@@ -46,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .fock import FockBasis, enumerate_basis
 from .lattice import LatticeModel, exact_hamiltonian, step_operator
@@ -91,6 +110,7 @@ class SectorSpectrum(SpectralResult):
 
     order: np.ndarray           # labels by unwrapped energy, ground first
     manifolds: list             # label arrays of the degenerate manifolds
+    shift: int                  # rows of the commuting shift the solve used
 
 
 @dataclass
@@ -187,7 +207,8 @@ def _cayley_eig(u_matrix: np.ndarray, alpha: float):
 def sector_spectra(model: LatticeModel, delta_t: float,
                    basis: FockBasis) -> dict:
     """SectorSpectrum of each sector block of one Trotter step on the basis,
-    by sector, with its labels and manifolds in ground-rule order (module
+    by sector: its labels and manifolds in ground-rule order, solved in the
+    momentum blocks of the smallest commuting shift, ``shift`` rows (module
     docstring)."""
     step = step_operator(model, delta_t, basis)
     h = exact_hamiltonian(model, basis).entries
@@ -195,15 +216,94 @@ def sector_spectra(model: LatticeModel, delta_t: float,
     spectra = {}
     for k in basis.sectors:
         sl = basis.sector_slice(k)
-        res = effective_energies(step[sl, sl], delta_t, sector=k)
+        u = np.ascontiguousarray(step[sl, sl])
+        shift, perm = _commuting_shift(model, basis, k, u)
+        res = _blocked_energies(u, perm, model.shape[-1] // shift, delta_t, k)
+        del u
         v = res.eigenvectors
         mean_h = np.vecdot(v, h[sl, sl] @ v, axis=0).real
-        shift = np.round((mean_h - res.energies) / period)
-        order = np.argsort(res.energies + period * shift, kind="stable")
+        unwrap = np.round((mean_h - res.energies) / period)
+        order = np.argsort(res.energies + period * unwrap, kind="stable")
         spectra[k] = SectorSpectrum(**vars(res), order=order,
                                     manifolds=_manifolds(res.energies, order,
-                                                         delta_t))
+                                                         delta_t),
+                                    shift=shift)
     return spectra
+
+
+def _commuting_shift(model: LatticeModel, basis: FockBasis, sector: int,
+                     u: np.ndarray):
+    """The smallest s dividing N_last whose shift of the sites by s rows of
+    the last axis, i -> (i + s n_sites / N_last) mod n_sites, commutes with
+    the sector's step block u to UNITARY_TOL, and its permutation of the
+    sector's states; s = N_last is the identity."""
+    n_sites, n_last = model.n_sites, model.shape[-1]
+    occ = basis.occupations()[basis.sector_slice(sector)]
+    start = basis.sector_slice(sector).start
+    moved = np.empty_like(occ)
+    for s in (s for s in range(1, n_last + 1) if n_last % s == 0):
+        moved[:, (np.arange(n_sites) + s * n_sites // n_last) % n_sites] = occ
+        perm = basis.rank(moved) - start
+        # T u T^-1 = u is u[perm[a], perm[b]] = u[a, b], checked 64 rows at
+        # a time so that no second n x n array is made
+        if s == n_last or all(
+                np.max(np.abs(u[np.ix_(perm[a:a + 64], perm)] - u[a:a + 64]))
+                <= UNITARY_TOL for a in range(0, len(u), 64)):
+            return s, perm
+
+
+def _orbit_isometries(perm: np.ndarray, m: int) -> list:
+    """Sparse orbit isometries B_k, k = 0..m-1, of a state permutation T
+    with T^m = 1, empty blocks left out.  An orbit r, T r, ..., T^{L-1} r
+    (r its smallest state) carries the momentum state
+    sum_j w^{-jk} |T^j r> / sqrt(L), w = e^{2 pi i / m}, for each k with
+    m | L k; T multiplies it by w^k.  B_k's columns are these states in the
+    order of r, so the B_k together are a unitary and B_k^dag U B_k holds U
+    on momentum k whenever T commutes with U."""
+    n = len(perm)
+    powers = [np.arange(n)]
+    for _ in range(m):
+        powers.append(perm[powers[-1]])
+    powers = np.array(powers)                   # powers[j, i] = T^j i
+    length = 1 + np.argmax(powers[1:] == powers[0], axis=0)
+    reps = np.flatnonzero(powers.min(axis=0) == powers[0])
+    j = np.arange(m)[:, None]
+    blocks = []
+    for k in range(m):
+        r = reps[(length[reps] * k) % m == 0]
+        if not len(r):
+            continue
+        held = j < length[r]                    # (m, d_k): T^j r in the orbit
+        cols = np.broadcast_to(np.arange(len(r)), held.shape)[held]
+        vals = (np.exp(2j * np.pi * ((-j * k) % m) / m)
+                / np.sqrt(length[r]))[held]
+        blocks.append(sp.csr_matrix((vals, (powers[:m, r][held], cols)),
+                                    shape=(n, len(r))))
+    return blocks
+
+
+def _blocked_energies(u: np.ndarray, perm: np.ndarray, m: int,
+                      delta_t: float, sector: int) -> SpectralResult:
+    """effective_energies of u assembled from its momentum blocks: each
+    B_k^dag u B_k is diagonalized under its own contract, Q is the direct
+    sum of the B_k Q_k, and all labels are sorted by energy."""
+    blocks = _orbit_isometries(perm, m)
+    parts = [effective_energies((b.conj().T @ u) @ b, delta_t, sector)
+             for b in blocks]
+    energies = np.concatenate([p.energies for p in parts])
+    order = np.argsort(energies, kind="stable")
+    dest = np.argsort(order)        # each block column's place in Q
+    q = np.empty(u.shape, dtype=complex)
+    start = 0
+    for b, p in zip(blocks, parts):
+        q[:, dest[start:start + b.shape[1]]] = b @ p.eigenvectors
+        start += b.shape[1]
+    return SpectralResult(
+        sector=sector, delta_t=delta_t,
+        eigenphases=np.concatenate([p.eigenphases for p in parts])[order],
+        energies=energies[order], eigenvectors=q,
+        aliased=np.concatenate([p.aliased for p in parts])[order],
+    )
 
 
 def _manifolds(energies: np.ndarray, order: np.ndarray, delta_t: float) -> list:

@@ -641,6 +641,44 @@ def manifold_totals(prot, populations):
             for sec, p in zip(prot.sectors, populations)]
 
 
+def site_weights(prot):
+    """The manifold weights W_j[F, I] = sum_{f in F, i in I}
+    |<f| b_j^dag |i>|^2 of each sector pair, recomputed for every site:
+    (n_sites, M_hi, M_lo) per pair k -> k+1."""
+    basis = enumerate_basis(prot.model.n_sites, range(prot.n_max + 1))
+    out = []
+    for k in range(prot.n_max):
+        lo, hi = prot.sectors[k], prot.sectors[k + 1]
+        rows, cols = basis.sector_slice(k + 1), basis.sector_slice(k)
+        out.append(np.array([
+            [[np.sum(np.abs(hi.eigenvectors[:, f].conj().T @ b[rows, cols]
+                            @ lo.eigenvectors[:, i]) ** 2)
+              for i in lo.manifolds] for f in hi.manifolds]
+            for b in (ladder_operator(basis, j, "create").to_dense()
+                      for j in range(prot.model.n_sites))]))
+    return out
+
+
+@pytest.mark.parametrize("lattice", ["2x4 torus", "open 2x3"])
+def test_sites_in_one_shift_orbit_share_their_weights(lattice):
+    # on the 2x4 torus the shift by two rows commutes with every sector's
+    # step, so sites j and j + 4 share W_j; the open lattice has no
+    # commuting shift, and no two sites share.  Both stacks match a
+    # per-site recomputation
+    model = (build_fqh(2, 4, 1.0, 10.0, 0.25) if lattice == "2x4 torus" else
+             build_fqh(2, 3, 1.0, 10.0, 0.2, boundary="open"))
+    prot = IncoherentProtocol(model, 0.25, chi=0.048, p_ref=0.01, n_max=3)
+    for (w, *_), want in zip(prot._pairs, site_weights(prot)):
+        w = w.reshape(want.shape)
+        assert np.max(np.abs(w - want)) <= 1e-12
+        shared = [(i, j) for i in range(len(w)) for j in range(i)
+                  if np.array_equal(w[i], w[j])]
+        if lattice == "2x4 torus":
+            assert shared == [(j + 4, j) for j in range(4)]
+        else:
+            assert shared == []
+
+
 @pytest.mark.parametrize("init", ["vacuum", "ground"])
 def test_incoherent_step_matches_site_loop_oracle(init):
     # on the open 2x3 lattice at flux 0.2 no step eigenphase is degenerate,

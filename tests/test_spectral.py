@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 from timebin import cli, experiments, spectral
 from timebin.dynamics import IncoherentProtocol
 from timebin.fock import enumerate_basis
-from timebin.lattice import build_fqh, exact_hamiltonian
+from timebin.lattice import (
+    build_bose_hubbard,
+    build_fqh,
+    exact_hamiltonian,
+    step_operator,
+)
 from timebin.spectral import (
     analytic_ground_state,
     effective_energies,
@@ -314,3 +320,65 @@ def test_trotter_energies_near_exact_hamiltonian(fqh_u10):
     assert np.max(np.abs(res.energies[:2] - w[:2])) < 0.05
     assert np.max(np.abs(res.energies[:20] - w[:20])) < 0.3
     assert not res.aliased.any()
+
+
+# (model, sectors, shift): the shift sector_spectra must pick in every
+# sector but the one-state sector 0, and its number of momentum blocks
+# is N_last / shift
+MOMENTUM_LATTICES = {
+    "4x4 torus": (lambda: build_fqh(4, 4, 1.0, 10.0, 0.25), range(4), 1),
+    "2x4 torus": (lambda: build_fqh(2, 4, 1.0, 10.0, 0.25), range(1, 4), 2),
+    # the unit shift misses this step by 7e-2
+    "6x6 torus, flux 1/3": (lambda: build_fqh(6, 6, 1.0, 10.0, 1 / 3), [2], 2),
+    "6-site ring": (lambda: build_bose_hubbard(6, 1.0, 10.0), range(1, 4), 2),
+    "open 2x3": (lambda: build_fqh(2, 3, 1.0, 10.0, 0.2, boundary="open"),
+                 range(1, 4), 3),
+}
+
+
+@pytest.mark.parametrize("name", MOMENTUM_LATTICES)
+def test_momentum_blocks_match_the_full_solve(name):
+    # the spectrum assembled from the momentum blocks against one solve of
+    # the whole sector block: eigenphases, manifold sizes in energy order,
+    # and the assembled eigenpairs under the full block's own contract
+    build, sectors, shift = MOMENTUM_LATTICES[name]
+    model = build()
+    basis = enumerate_basis(model.n_sites, sectors)
+    step = step_operator(model, DT, basis)
+    spectra = sector_spectra(model, DT, basis)
+    for k in sectors:
+        spec = spectra[k]
+        assert spec.shift == (shift if k else 1), k
+        sl = basis.sector_slice(k)
+        full = effective_energies(step[sl, sl], DT, k)
+        assert np.max(np.abs(spec.eigenphases - full.eigenphases)) <= 1e-12
+        by_energy = np.arange(len(full.energies))
+        assert ([len(m) for m in spectral._manifolds(spec.energies, by_energy, DT)]
+                == [len(m) for m in spectral._manifolds(full.energies, by_energy,
+                                                        DT)]), k
+        q = spec.eigenvectors
+        assert np.max(np.abs(step[sl, sl] @ q - q * spec.eigenphases)) <= (
+            spectral.UNITARY_TOL)
+        assert np.max(np.abs(q.conj().T @ q - np.eye(len(q)))) <= 1e-12
+
+
+def test_a_lattice_without_a_commuting_shift_is_one_block():
+    # one hop amplitude of the 4x4 torus moved by 1e-3 breaks every
+    # translation, and the open 2x3 lattice has none: each sector is one
+    # block, and sector_spectra gives effective_energies' bits on it
+    torus = build_fqh(4, 4, 1.0, 10.0, 0.25)
+    (src, dst, w), *rest = torus.edges
+    broken = dataclasses.replace(torus, edges=((src, dst, w + 1e-3), *rest))
+    opened = build_fqh(2, 3, 1.0, 10.0, 0.2, boundary="open")
+    for model, sectors in ((broken, (1, 2)), (opened, (1, 2, 3))):
+        basis = enumerate_basis(model.n_sites, sectors)
+        step = step_operator(model, DT, basis)
+        spectra = sector_spectra(model, DT, basis)
+        for k in sectors:
+            spec = spectra[k]
+            assert spec.shift == model.shape[-1]
+            sl = basis.sector_slice(k)
+            full = effective_energies(step[sl, sl], DT, k)
+            for field in ("eigenphases", "energies", "eigenvectors", "aliased"):
+                assert np.array_equal(getattr(spec, field),
+                                      getattr(full, field)), (k, field)
