@@ -18,13 +18,13 @@ Fixed points are found by plain power iteration; the returned report
 always states the exact trace-norm residual of one more channel
 application.
 
-Single-photon-ancilla protocol.  Each site owns a persistent ancilla,
+Single-photon-ancilla protocol.  Each site couples to a persistent ancilla,
 refreshed to one photon with probability p_ref per circulation.  The exact
 joint state of system plus sixteen ancillas is out of reach, so the
 protocol is integrated as its weak-coupling collision limit: one population
 per degenerate manifold of the step unitary (the degeneracy rule of
-``spectral``), one occupancy distribution per ancilla, and per-circulation
-transfer rates between manifolds I and F
+``spectral``), one occupancy distribution per orbit of ancillas (below),
+and per-circulation transfer rates between manifolds I and F
 
     rate = sin^2(chi dt) q W_j[F, I] S(Delta),
     W_j[F, I] = sum_{f in F, i in I} |<f| b_j^(dag) |i>|^2 = Tr(P_F b_j^dag P_I b_j),
@@ -40,9 +40,10 @@ space.  Each manifold's state is taken proportional to its projector, the
 secular approximation over manifolds, so W_j and the answer do not depend
 on which eigenvectors span a manifold.  Which manifold holds a sector's
 ground is the ground rule of ``spectral``.  A lattice shift T that commutes
-with the steps of both sectors of a pair maps each of their manifolds onto
-itself and b_j onto b_{Tj}, so W_{Tj} = W_j: the sites of one orbit of T
-share one W_j, computed once (on the 4x4 torus 4 orbits of 4 sites).
+with every sector's step maps each manifold onto itself and b_j onto
+b_{Tj}, so W_{Tj} = W_j, and ancillas that start equal stay equal: the
+sites of one orbit of T share one W_j and one ancilla distribution (on the
+4x4 torus 4 orbits of 4 sites).
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ class DriveDissParams:
                       delta_t: float) -> "DriveDissParams":
         if gamma_loss < 0:
             raise ValueError("loss rate must be nonnegative")
+        if gamma_loss == 0 and F != 0:
+            raise ValueError("a drive needs a loss rate: K = 0 carries no F")
         K = math.sqrt(gamma_loss / delta_t) if gamma_loss > 0 else 0.0
         alpha = np.conj(F / K) if K > 0 else 0.0
         return cls(K, complex(alpha), Omega_drive, delta_t)
@@ -245,16 +248,16 @@ class CirculationChannel:
     The drive frequency enters only through the sites' phases e^{i Phi n_j},
     Phi = Omega_drive dt.  Each commutes with the other sites' Kraus maps,
     so they act last, as one diagonal that multiplies rho_ab by
-    e^{i Phi (N_a - N_b)}.  The step and the per-site maps are built
-    without it, and ``at_omega`` returns the channel at another drive
-    frequency that shares them.
+    e^{i Phi (N_a - N_b)}.  The step, the per-site maps and their fused
+    superoperators are built without it, and ``at_omega`` returns the
+    channel at another drive frequency that shares all of them.
 
     Up to ``SUPER_DIM_LIMIT`` basis states the per-site channels are fused
     into sparse superoperators on vec(rho), one per pair of sites (an odd
-    site count leaves one single last), and the drive phase scales the
-    rows of the last one.  Larger bases apply the Kraus operators one by
-    one, then the phase.  Both paths give the same rho to ~2e-17.  The
-    fused call is 5-6x faster, but the superoperators grow as dim^2.
+    site count leaves one single last).  Larger bases apply the Kraus
+    operators one by one.  Both paths end with the phase diagonal and give
+    the same rho to ~2e-17.  The fused call is 5-6x faster, but the
+    superoperators grow as dim^2.
     Measured with BLAS on one thread, best of three runs:
 
         dim   lattice, sectors   fused call   per-Kraus call
@@ -295,25 +298,16 @@ class CirculationChannel:
                 if j + 1 < len(self.sites):
                     s = self.sites[j + 1].as_superoperator() @ s
                 self._supers.append(s)
-            # _tune folds the drive phase into a copy of the last one
-            self._drive = self._supers[-1]
         self._tune(params)
 
     def _tune(self, params: DriveDissParams):
         self.params = params
         n = self.basis.totals()
-        phase = np.exp(1j * params.Phi * (n[:, None] - n[None, :]))
-        if self._supers is None:
-            self._phase = phase
-            return
-        # row a * dim + b of a superoperator yields rho_ab
-        last = self._drive.copy()
-        last.data *= np.repeat(phase.ravel(), np.diff(last.indptr))
-        self._supers = self._supers[:-1] + [last]
+        self._phase = np.exp(1j * params.Phi * (n[:, None] - n[None, :]))
 
     def at_omega(self, Omega_drive: float) -> "CirculationChannel":
         """The channel at another drive frequency; it shares this one's
-        step, per-site maps and all but the last fused superoperator."""
+        step, per-site maps and fused superoperators."""
         ch = copy.copy(self)
         ch._tune(replace(self.params, Omega_drive=Omega_drive))
         return ch
@@ -328,11 +322,13 @@ class CirculationChannel:
         if self._supers is None:
             for site in self.sites:
                 out = site.apply(out)
-            return self._phase * out
-        v = out.ravel()
-        for s in self._supers:
-            v = s @ v
-        return v.reshape(out.shape)
+        else:
+            v = out.ravel()
+            for s in self._supers:
+                v = s @ v
+            out = v.reshape(out.shape)
+        out *= self._phase
+        return out
 
 
 def _trace_norm(mat: np.ndarray) -> float:
@@ -449,9 +445,12 @@ class IncoherentProtocol:
     doublet, and a coupling under which the explicit step could drive
     populations negative (and diverge) raise ProtocolError.
 
-    The sites of one orbit of the shift that commutes with both sectors of
-    a pair (the lcm of their ``shift``) share their manifold weights W_j
-    (module docstring); without such a shift every site has its own.
+    The shift by the lcm of every sector's ``shift`` commutes with each
+    sector's step, so the sites of one of its orbits share their manifold
+    weights W_j (module docstring) and, as ``reset`` starts every ancilla
+    equal, their ancilla.  ``ancilla`` holds one row per orbit, for sites
+    0..n_orbits-1, and each pair's weight stack one row W_o = |o| W_j, the
+    orbit's summed weight.  An open lattice has orbits of one site.
     """
 
     def __init__(self, model: LatticeModel, delta_t: float, chi: float,
@@ -510,17 +509,18 @@ class IncoherentProtocol:
                                     for m in sec.manifolds]))
             vecs.append(sec.eigenvectors[:, np.concatenate(sec.manifolds)])
             starts.append(np.cumsum(size) - size)
-        # pair k's shared shift, lcm(shifts) rows, moves site j to
-        # j + stride: W_j is computed for sites 0..stride-1 and indexed
+        # the shift of lcm(shifts) rows commutes with every sector's step and
+        # moves site j to j + stride: sites 0..stride-1 stand for their orbits
         n_sites, n_last = self.model.n_sites, self.model.shape[-1]
-        strides = [math.lcm(lo.shift, hi.shift) * n_sites // n_last
-                   for lo, hi in zip(self.sectors, self.sectors[1:])]
+        stride = (math.lcm(*(sec.shift for sec in self.sectors))
+                  * n_sites // n_last)
+        self._orbit_size = n_sites // stride
         bdag = [ladder_operator(basis, j, "create").entries
-                for j in range(max(strides))]
-        # per sector pair k -> k+1: the stack (n_sites, M_hi * M_lo) of the
-        # manifold weights W_j, the kernels k10, k21 (M_hi, M_lo), and the
-        # per-site column sums (2, n_sites, M_lo) and row sums
-        # (2, n_sites, M_hi) of k10 W_j and k21 W_j
+                for j in range(stride)]
+        # per sector pair k -> k+1: the stack (n_orbits, M_hi * M_lo) of the
+        # orbits' summed manifold weights W_o = |o| W_j, the kernels k10,
+        # k21 (M_hi, M_lo), and the per-orbit column sums (2, n_orbits, M_lo)
+        # and row sums (2, n_orbits, M_hi) of k10 W_o and k21 W_o
         self._pairs = []
         for k in range(self.n_max):
             lo, hi = basis.sector_slice(k), basis.sector_slice(k + 1)
@@ -529,11 +529,11 @@ class IncoherentProtocol:
             k10, k21 = kernel(dth - gate_10), 2.0 * kernel(dth - gate_21)
             # each site's label-level |<f| b_j^dag |i>|^2 is summed into
             # manifold weights at once; no label-level stack is kept
-            w = np.stack([
+            w = self._orbit_size * np.stack([
                 np.add.reduceat(np.add.reduceat(
                     np.abs(v_hi_h @ (b[hi, lo] @ vecs[k])) ** 2,
                     starts[k + 1], axis=0), starts[k], axis=1)
-                for b in bdag[:strides[k]]])[np.arange(n_sites) % strides[k]]
+                for b in bdag])
             self._pairs.append((
                 w.reshape(len(w), -1), k10, k21,
                 np.stack([np.einsum("FI,jFI->jI", kk, w) for kk in (k10, k21)]),
@@ -558,8 +558,8 @@ class IncoherentProtocol:
 
     def reset(self, init: str = "vacuum"):
         """init, one of INITS: "vacuum" (empty lattice) or "ground" (the
-        two-photon ground doublet, 1/2 per state); ancillas start in one
-        photon each."""
+        two-photon ground doublet, 1/2 per state); every orbit's ancilla
+        starts in one photon."""
         if init not in INITS:
             raise ValueError(f"unknown initialization {init!r}; pick one "
                              f"of {INITS}")
@@ -569,7 +569,7 @@ class IncoherentProtocol:
         else:
             self.populations[2][self.doublet] = 0.5
         self.ancilla = np.tile(np.array([0.0, 1.0, 0.0]),
-                               (self.model.n_sites, 1))
+                               (self.model.n_sites // self._orbit_size, 1))
 
     def step(self):
         """One circulation: collision transfer flows, then ancilla refresh.
@@ -585,14 +585,17 @@ class IncoherentProtocol:
         and the same scalar flux moves the ancilla occupancy distribution.
 
         The rates factor as r1_j = k10 * W_j, r2_j = k21 * W_j, with
-        site-independent kernels k10, k21 and the manifold weights W_j, so
-        the site sum is one product over the stacked W_j,
-        Wn = sum_j qn_j W_j, and the summed rates A_up = k10 W1 + k21 W2
-        (k -> k+1) and A_dn = k10 W0 + k21 W1 (k+1 -> k) give the in-flows
-        A_up @ x_k and A_dn^T @ x_{k+1}.  The build precomputes the kernels,
-        the W stack and the per-site column and row sums of r1_j and r2_j;
-        weighted by q_j, these give the out-flows and the ancilla fluxes.
-        Each manifold's change is spread over its states: x += dP / |F|.
+        site-independent kernels k10, k21 and the manifold weights W_j.
+        The sites of one orbit o share W_j and, from equal starts, their
+        ancilla q_o, so the site sum is one product over the stacked orbit
+        weights W_o = |o| W_j, Wn = sum_o qn_o W_o, and the summed rates
+        A_up = k10 W1 + k21 W2 (k -> k+1) and A_dn = k10 W0 + k21 W1
+        (k+1 -> k) give the in-flows A_up @ x_k and A_dn^T @ x_{k+1}.  The
+        build precomputes the kernels, the W stack and the per-orbit column
+        and row sums of k10 W_o and k21 W_o; weighted by q_o, these give the
+        out-flows and the orbit's ancilla flux, which each of its |o| sites
+        shares: q_o += flux / |o|.  Each manifold's change is spread over
+        its states: x += dP / |F|.
         """
         p = self.populations
         dp = [np.zeros_like(x) for x in p]
@@ -613,7 +616,7 @@ class IncoherentProtocol:
             danc[:, 2] += f_dn2 - f_up2
         for k in range(self.n_max + 1):
             self.populations[k] += dp[k] / self.sizes[k]
-        self.ancilla += danc
+        self.ancilla += danc / self._orbit_size
         # probabilistic refresh as the exact convex mixture
         p_ref = self.params.p_ref
         self.ancilla = (1 - p_ref) * self.ancilla

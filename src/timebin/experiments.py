@@ -146,13 +146,7 @@ def two_photon_correlator(basis, amplitudes) -> np.ndarray:
     """C[i, j] = <b_i+ b_j+ b_j b_i> = <n_i n_j> - delta_ij <n_i>."""
     occ = basis.occupations()
     w = np.abs(np.asarray(amplitudes)) ** 2
-    n_sites = basis.n_modes
-    c = np.zeros((n_sites, n_sites))
-    for i in range(n_sites):
-        for j in range(n_sites):
-            val = occ[:, i] * occ[:, j] - (occ[:, i] if i == j else 0)
-            c[i, j] = float(np.dot(w, val))
-    return c
+    return occ.T @ (w[:, None] * occ) - np.diag(w @ occ)
 
 
 def side_masses(c: np.ndarray) -> tuple:
@@ -217,13 +211,8 @@ def free_boson_correlator(model, dt, n_steps, init_sites) -> np.ndarray:
     basis1 = enumerate_basis(model.n_sites, {1})
     g = np.linalg.matrix_power(step_operator(model, dt, basis1), n_steps)
     idx = basis1.rank(np.eye(model.n_sites, dtype=int))    # site -> index
-    a, b = (idx[s] for s in init_sites)
-    c = np.zeros((model.n_sites, model.n_sites))
-    for i in range(model.n_sites):
-        for j in range(model.n_sites):
-            amp = g[idx[i], a] * g[idx[j], b] + g[idx[i], b] * g[idx[j], a]
-            c[i, j] = abs(amp) ** 2
-    return c
+    g_a, g_b = (g[idx, idx[s]] for s in init_sites)
+    return np.abs(np.outer(g_a, g_b) + np.outer(g_b, g_a)) ** 2
 
 
 # --- spectrum ----------------------------------------------------------------

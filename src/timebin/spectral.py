@@ -430,7 +430,8 @@ def overlap_optimize(psi_ana, psi_act_1, psi_act_2):
     ana = np.asarray(psi_ana, dtype=complex)
     a1 = np.asarray(psi_act_1, dtype=complex)
     a2 = np.asarray(psi_act_2, dtype=complex)
-    if abs(np.vdot(a1, a2)) > 1e-8 or abs(np.linalg.norm(a1) - 1) > 1e-8:
+    if (abs(np.vdot(a1, a2)) > 1e-8 or abs(np.linalg.norm(a1) - 1) > 1e-8
+            or abs(np.linalg.norm(a2) - 1) > 1e-8):
         raise ValueError("actual pair must be orthonormal")
     c1 = np.vdot(a1, ana)
     c2 = np.vdot(a2, ana)

@@ -100,6 +100,8 @@ class PulseShape:
             raise ValueError("pulse samples must be nonnegative")
         grid = np.linspace(0.0, 1.0, samples.size)
         norm = np.sqrt(simpson(samples**2, x=grid))
+        if not norm > 0:
+            raise ValueError("pulse samples have zero norm")
         return cls(name, grid, samples / norm)
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:

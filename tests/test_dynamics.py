@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -87,6 +89,14 @@ def test_params_consistency(small_model, small_basis):
         moved = ch.at_omega(omega).params
         assert moved.Phi == omega * 0.25
         assert (moved.K, moved.alpha) == (p.K, p.alpha)
+
+
+def test_a_drive_without_loss_is_refused():
+    # gamma = 0 gives K = 0, and a circuit with K = 0 carries no drive
+    with pytest.raises(ValueError, match="loss rate"):
+        DriveDissParams.from_physical(0.1, -2.8, 0.0, 0.25)
+    p = DriveDissParams.from_physical(0.0, -2.8, 0.0, 0.25)
+    assert (p.K, p.F, p.gamma_loss) == (0.0, 0.0, 0.0)
 
 
 def test_zero_coupling_is_identity(small_basis):
@@ -251,7 +261,7 @@ def test_per_kraus_path_matches_fused(monkeypatch):
 
 def test_odd_site_count_keeps_a_single_last_superoperator(monkeypatch):
     # three sites fuse into one pair and one single; both channels carry a
-    # drive phase, which the fused path folds into that single
+    # drive phase, which both paths apply last as one diagonal
     model = build_bose_hubbard(3, 1.0, 10.0)
     basis = enumerate_basis(3, range(3))
     p = DriveDissParams.from_circuit(0.2, 0.02, -1.7, 0.25)
@@ -277,10 +287,11 @@ def test_at_omega_leaves_its_base_and_shares_the_unphased_pairs(
     rho = random_density(small_basis.dim, 9)
     assert np.array_equal(base(rho), fresh(rho))
     assert not np.array_equal(derived[0](rho), derived[1](rho))
+    # the drive phase is one diagonal of its own, so every fused
+    # superoperator is shared
     for ch in derived:
         assert len(ch._supers) == len(base._supers)
-        assert all(a is b for a, b in zip(ch._supers[:-1], base._supers))
-        assert ch._supers[-1] is not base._supers[-1]
+        assert all(a is b for a, b in zip(ch._supers, base._supers))
 
 
 def test_drive_phase_factors_out_of_the_channel():
@@ -662,21 +673,75 @@ def site_weights(prot):
 @pytest.mark.parametrize("lattice", ["2x4 torus", "open 2x3"])
 def test_sites_in_one_shift_orbit_share_their_weights(lattice):
     # on the 2x4 torus the shift by two rows commutes with every sector's
-    # step, so sites j and j + 4 share W_j; the open lattice has no
-    # commuting shift, and no two sites share.  Both stacks match a
-    # per-site recomputation
+    # step, so the recomputed W_j of sites j and j + 4 agree and the orbit
+    # {j, j + 4} keeps one row, their sum; the open lattice has no
+    # commuting shift, and each site is its own orbit
     model = (build_fqh(2, 4, 1.0, 10.0, 0.25) if lattice == "2x4 torus" else
              build_fqh(2, 3, 1.0, 10.0, 0.2, boundary="open"))
     prot = IncoherentProtocol(model, 0.25, chi=0.048, p_ref=0.01, n_max=3)
+    n_orbits = 4 if lattice == "2x4 torus" else 6
+    assert len(prot.ancilla) == n_orbits
     for (w, *_), want in zip(prot._pairs, site_weights(prot)):
-        w = w.reshape(want.shape)
-        assert np.max(np.abs(w - want)) <= 1e-12
-        shared = [(i, j) for i in range(len(w)) for j in range(i)
-                  if np.array_equal(w[i], w[j])]
-        if lattice == "2x4 torus":
-            assert shared == [(j + 4, j) for j in range(4)]
-        else:
-            assert shared == []
+        # site j lies in orbit j % n_orbits
+        by_orbit = want.reshape(-1, n_orbits, *want.shape[1:])
+        assert np.max(np.abs(by_orbit - by_orbit[0])) <= 1e-12
+        assert np.max(np.abs(w.reshape(by_orbit.shape[1:])
+                             - by_orbit.sum(0))) <= 1e-12
+
+
+def per_site_step(prot, weights, populations, ancilla):
+    """One circulation with every site's own manifold weights W_j (the
+    ``site_weights`` stacks) and its own ancilla row, by the protocol's
+    factored formula."""
+    p = populations
+    dp = [np.zeros_like(x) for x in p]
+    q0, q1, q2 = ancilla.T
+    danc = np.zeros_like(ancilla)
+    for k, (w, (_, k10, k21, *_)) in enumerate(zip(weights, prot._pairs)):
+        cols = [np.einsum("FI,jFI->jI", kk, w) for kk in (k10, k21)]
+        rows = [np.einsum("FI,jFI->jF", kk, w) for kk in (k10, k21)]
+        w0, w1, w2 = np.einsum("jn,jFI->nFI", ancilla, w)
+        lo, hi = p[k], p[k + 1]
+        dp[k + 1] += ((k10 * w1 + k21 * w2) @ lo
+                      - (q0 @ rows[0] + q1 @ rows[1]) * hi)
+        dp[k] += ((k10 * w0 + k21 * w1).T @ hi
+                  - (q1 @ cols[0] + q2 @ cols[1]) * lo)
+        f_up1, f_up2 = q1 * (cols[0] @ lo), q2 * (cols[1] @ lo)
+        f_dn1, f_dn2 = q0 * (rows[0] @ hi), q1 * (rows[1] @ hi)
+        danc += np.stack([f_up1 - f_dn1, f_dn1 - f_up1 + f_up2 - f_dn2,
+                          f_dn2 - f_up2], axis=1)
+    p_ref = prot.params.p_ref
+    anc = (1 - p_ref) * (ancilla + danc)
+    anc[:, 1] += p_ref
+    return [x + d / n for x, d, n in zip(p, dp, prot.sizes)], anc
+
+
+@pytest.mark.parametrize("init", ["vacuum", "ground"])
+def test_orbit_ancillas_match_a_per_site_run(init):
+    # 2x4 torus: the eight sites form four orbits {j, j + 4}, and the
+    # protocol keeps four ancillas; over a 1,000-step run, every observable
+    # and every site's ancilla of a per-site run agree with it
+    model = build_fqh(2, 4, 1.0, 10.0, 0.25)
+    prot = IncoherentProtocol(model, 0.25, chi=0.048, p_ref=0.01, n_max=3)
+    weights = site_weights(prot)
+    prot.reset(init)
+    assert len(prot.ancilla) == 4
+    pops = [x.copy() for x in prot.populations]
+    anc = np.tile(prot.ancilla[0], (model.n_sites, 1))
+    worst = 0.0
+    for _ in range(1000):
+        prot.step()
+        pops, anc = per_site_step(prot, weights, pops, anc)
+        want = IncoherentProtocol.observables(SimpleNamespace(
+            populations=pops, sizes=prot.sizes, n_max=prot.n_max,
+            doublet=prot.doublet))
+        got = prot.observables()
+        worst = max(worst, np.max(np.abs(prot.ancilla[np.arange(8) % 4] - anc)),
+                    *(abs(got[key] - want[key]) for key in want))
+    assert worst <= 1e-13
+    # the run moved population and ancilla photons
+    assert prot.observables()["P2"] > 0.01
+    assert np.max(np.abs(anc - [0.0, 1.0, 0.0])) > 1e-3
 
 
 @pytest.mark.parametrize("init", ["vacuum", "ground"])

@@ -262,6 +262,16 @@ def test_overlap_optimize_trivial_cases():
         overlap_optimize(e1, e1, e1)
 
 
+def test_overlap_optimize_refuses_a_second_state_off_unit_norm():
+    # an orthogonal but unnormalized second state would report an overlap
+    # value above 1 (4 for 2 e2)
+    e1 = np.array([1.0, 0.0], dtype=complex)
+    e2 = np.array([0.0, 1.0], dtype=complex)
+    for a2 in (2 * e2, 0.5 * e2, 0 * e2):
+        with pytest.raises(ValueError, match="orthonormal"):
+            overlap_optimize(e2, e1, a2)
+
+
 def test_overlap_optimize_beats_random_samples():
     rng = np.random.default_rng(17)
     dim = 6

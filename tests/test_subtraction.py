@@ -47,6 +47,13 @@ def test_normalization(square, bump):
     assert custom.norm_defect() < 1e-10
 
 
+def test_zero_norm_pulse_is_refused():
+    # normalizing an all-zero pulse would divide by zero into NaN samples
+    for samples in (np.zeros(9), np.full(9, 1e-200)):
+        with pytest.raises(ValueError, match="zero norm"):
+            PulseShape.from_samples("flat", samples)
+
+
 def test_square_u_tilde_analytic(square):
     g = 7.0
     d = derive_quantities(square, g)
