@@ -107,6 +107,9 @@ def validate_config(experiment: str, cfg: dict):
             _kind(v) != _kind(default[0]) for v in cfg[key]
         ):
             raise ConfigError(f"{key} must hold {_kind(default[0])}s only")
+        # a repeated item would run, and write, the same point twice
+        if isinstance(default, list) and len(set(cfg[key])) < len(cfg[key]):
+            raise ConfigError(f"{key} must not repeat an item, got {cfg[key]!r}")
     if not all(_finite(v) for raw in cfg.values()
                for v in (raw if isinstance(raw, list) else [raw])
                if isinstance(v, (int, float)) and not isinstance(v, bool)):
@@ -114,7 +117,7 @@ def validate_config(experiment: str, cfg: dict):
     # integer keys (for a list, every item) and their lower bounds
     int_min = {"N_x": 1, "N_y": 1, "n_max": 2, "omega_points": 1,
                "n_circulations": 1, "record_every": 1, "ancilla_cut": 2,
-               "sectors": 0, "k_list": 1}
+               "sectors": 0, "k_list": 1, "grid_points": 3}
     for key, low in int_min.items():
         values = cfg.get(key, [])
         if any(not isinstance(v, int) or v < low

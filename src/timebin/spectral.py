@@ -31,8 +31,8 @@ identity: one block, the sector's step itself, through the same code.  On
 the 4x4 quarter-flux torus the unit shift commutes with every sector, and
 the 816-state sector 3 splits into four blocks of 204 states, solved in
 0.08 s against 0.69-0.72 s in one block; ``sector_spectra`` of sectors
-0..3 takes 0.26 s against 0.94 s (2-core x86 host, BLAS on one thread,
-best of three).
+0..3 takes 0.24 s, of which the dim-969 step build (``step_operator``)
+is 0.06-0.07 s (2-core x86 host, BLAS on one thread, best of five).
 
 Ground rule, pinned package-wide: at strong U a sector's interaction tops
 wrap below its ground on the principal branch, so ``sector_spectra`` sorts

@@ -107,6 +107,24 @@ def test_model_errors_exit_one(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment,key", [
+    (experiment, key) for experiment, defaults in sorted(cli.DEFAULTS.items())
+    for key, default in defaults.items() if isinstance(default, list)
+])
+def test_repeated_list_items_exit_one(experiment, key, tmp_path, capsys):
+    # a repeated item would run, and write, the same rows twice: every list
+    # key refuses one, on the small configs the fuzz test runs
+    first = cli.DEFAULTS[experiment][key][0]
+    argv = [experiment]
+    for fixed, value in FUZZ_FIXED[experiment].items():
+        argv += ["--set", f"{fixed}={json.dumps(value)}"]
+    argv += ["--set", f"{key}={json.dumps([first, first])}"]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert "must not repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spectrum_and_steady_state_read_the_unwrapped_ground(tmp_path):
     # at U = 40 doublon states wrap below the FQH doublet on the principal
     # branch (one at -10.80, with <H> = +29.2); the ground rule skips them,
@@ -224,7 +242,7 @@ FUZZ_VALUES = {
         "record_every": [1, 3, 50], "inits": [["vacuum"], ["ground"], []],
     },
     "subtraction": {
-        "grid_points": [17, 257],
+        "grid_points": [17, 257, 0, 1, 2.5],
         "gamma_grid": [[50.0], [100.0, 316.0], [1000.0], [-1]],
         "k_list": [[1], [1, 2, 3], [2], [0]],
         "pulses": [["square"], ["bump"], ["square", "bump"], [], ["foo"]],

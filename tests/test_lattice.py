@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from timebin.fock import enumerate_basis
+from timebin.gates import gate_matrix
 from timebin.lattice import (
     build_bose_hubbard,
     build_fqh,
@@ -137,6 +138,32 @@ def test_step_operator_is_block_diagonal_over_sectors():
         sl = b.sector_slice(k)
         want[sl, sl] = step_unitary(m, 0.25, k)
     assert np.array_equal(u, want)
+
+
+def _gate_by_gate_step(model, dt, basis):
+    """The plain reference: every gate of the step multiplied in turn onto
+    a dense identity."""
+    u = np.eye(basis.dim, dtype=complex)
+    for desc in trotter_step_sequence(model, dt, n_max=max(basis.sectors)):
+        u = gate_matrix(desc, basis).entries @ u
+    return u
+
+
+@pytest.mark.parametrize("model,sectors", [
+    # four beamsplitter runs of 8 and one on-site run of 16, dim 969
+    (build_fqh(4, 4, 1.0, 10.0, 0.25), range(4)),
+    # a run that mixes two beamsplitters with two number-phase gates
+    (build_fqh(2, 3, 1.0, 10.0, 0.25, boundary="open"), range(4)),
+    # the odd ring's greedy 3-group coloring, and the even ring's 2 groups
+    (build_bose_hubbard(5, 1.0, 10.0, boundary="periodic"), range(4)),
+    (build_bose_hubbard(6, 1.0, 10.0, boundary="periodic"), range(4)),
+    # U = 0: no on-site run
+    (build_fqh(4, 4, 1.0, 0.0, 0.25), range(3)),
+], ids=["torus4x4", "open2x3", "ring5", "ring6", "free4x4"])
+def test_step_operator_matches_the_gate_by_gate_product(model, sectors):
+    b = enumerate_basis(model.n_sites, sectors)
+    u = step_operator(model, 0.25, b)
+    assert np.max(np.abs(u - _gate_by_gate_step(model, 0.25, b))) <= 1e-13
 
 
 def test_exact_hamiltonian_examples():
