@@ -408,17 +408,6 @@ def run_incoherent(cfg, outdir):
 # --- subtraction ---------------------------------------------------------------
 
 
-def _benchmark_estimates(d):
-    """The summary's estimates, from the square pulse's derivation d at
-    gamma = 4000."""
-    return {
-        "p_fail_k1": p_fail_k1(d),
-        "p_fail_k2": p_fail_k2(d),
-        "infidelity_k1": 1 - f_sub_single(d, 1),
-        "infidelity_k2": 1 - f_sub_single(d, 2),
-    }
-
-
 # the pulse shapes a subtraction config may name, by name
 PULSES = {"square": PulseShape.square, "bump": PulseShape.bump}
 
@@ -433,17 +422,24 @@ def run_subtraction(cfg, outdir):
     for name, pulse in sorted(pulses.items()):
         for gamma in cfg["gamma_grid"]:
             d = derive_quantities(pulse, gamma)
-            if name == "square" and gamma == 4000.0:
-                benchmark = _benchmark_estimates(d)
-            pf1 = p_fail_k1(d)
-            pf2 = p_fail_k2(d)
+            in_summary = name == "square" and gamma == 4000.0
+            # each estimate once per derivation and k; the summary's row
+            # adds k = 1 and 2 when k_list lacks them
+            ks = set(cfg["k_list"]) | ({1, 2} if in_summary else set())
+            pf = {1: p_fail_k1(d)}
+            if 2 in ks:
+                pf[2] = p_fail_k2(d)
+            fs = {k: f_sub_single(d, k) for k in ks}
+            if in_summary:
+                benchmark = {
+                    "p_fail_k1": pf[1], "p_fail_k2": pf[2],
+                    "infidelity_k1": 1 - fs[1], "infidelity_k2": 1 - fs[2],
+                }
             for k in cfg["k_list"]:
-                fs = f_sub_single(d, k)
                 fd = f_sub_double(d, k) if k >= 2 else float("nan")
-                pf = pf1 if k == 1 else (pf2 if k == 2 else float("nan"))
                 rows.append((
-                    name, k, gamma, pf, fs, fd,
-                    gate_infidelity(pf1, math.pi),
+                    name, k, gamma, pf.get(k, float("nan")), fs[k], fd,
+                    gate_infidelity(pf[1], math.pi),
                 ))
             # no derivation outlives its row: holding one into the next
             # derivation (even the 3 MB gamma = 4000 one) raised the run's

@@ -141,31 +141,31 @@ def plaquette_flux(model: LatticeModel, x: int, y: int) -> float:
 def edge_coloring(model: LatticeModel) -> tuple:
     """Partition edges into vertex-disjoint groups.
 
-    Chain: even edges then odd edges (a periodic odd chain has no proper
-    2-coloring and falls back to a greedy 3-group split).  Square lattice:
-    horizontal-even, horizontal-odd, vertical-even, vertical-odd by the
-    parity of the hop's base coordinate.
+    Chain: even edges then odd edges.  Square lattice: horizontal-even,
+    horizontal-odd, vertical-even, vertical-odd by the parity of the hop's
+    base coordinate.  A periodic lattice with an odd side has no such
+    parity split (its wrap edge shares a site with the edge from 0) and
+    falls back to a greedy first-fit split.
     """
+    if model.geometry not in ("chain", "square"):
+        raise ValueError(f"no coloring rule for geometry {model.geometry!r}")
+    if model.boundary == "periodic" and any(n % 2 for n in model.shape):
+        return _greedy_coloring(model)
     if model.geometry == "chain":
-        n = model.n_sites
-        if model.boundary == "periodic" and n % 2 == 1:
-            return _greedy_coloring(model)
         even, odd = [], []
         for e, (src, dst, _) in enumerate(model.edges):
             (even if src % 2 == 0 else odd).append(e)
         return tuple(g for g in (tuple(even), tuple(odd)) if g)
-    if model.geometry == "square":
-        he, ho, ve, vo = [], [], [], []
-        for e, (src, dst, _) in enumerate(model.edges):
-            x, y = model.site_xy(src)
-            xd, yd = model.site_xy(dst)
-            horizontal = yd == y
-            if horizontal:
-                (he if x % 2 == 0 else ho).append(e)
-            else:
-                (ve if y % 2 == 0 else vo).append(e)
-        return tuple(g for g in (tuple(he), tuple(ho), tuple(ve), tuple(vo)) if g)
-    raise ValueError(f"no coloring rule for geometry {model.geometry!r}")
+    he, ho, ve, vo = [], [], [], []
+    for e, (src, dst, _) in enumerate(model.edges):
+        x, y = model.site_xy(src)
+        xd, yd = model.site_xy(dst)
+        horizontal = yd == y
+        if horizontal:
+            (he if x % 2 == 0 else ho).append(e)
+        else:
+            (ve if y % 2 == 0 else vo).append(e)
+    return tuple(g for g in (tuple(he), tuple(ho), tuple(ve), tuple(vo)) if g)
 
 
 def _greedy_coloring(model: LatticeModel) -> tuple:

@@ -30,8 +30,11 @@ two-layer subtraction fidelity.
 Every estimator takes one derivation d = derive_quantities(pulse, gamma)
 and reads gamma and the arrays from it alone: no estimator evaluates the
 pulse or marches a kernel again, and one derivation serves every estimate
-at its (pulse, gamma).  scipy.integrate and scipy.signal are imported
-where used, to keep them out of ``import timebin``.
+at its (pulse, gamma).  Every grid is uniform, so each quadrature passes
+scipy's Simpson rules the step (dx) rather than the abscissae, and each
+kernel march is one unit lower bidiagonal solve (LAPACK dtbtrs).
+scipy.integrate is imported where used, to keep it out of
+``import timebin``.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ class PulseShape:
         if np.any(samples < 0):
             raise ValueError("pulse samples must be nonnegative")
         grid = np.linspace(0.0, 1.0, samples.size)
-        norm = np.sqrt(simpson(samples**2, x=grid))
+        norm = np.sqrt(simpson(samples**2, dx=1.0 / (samples.size - 1)))
         if not norm > 0:
             raise ValueError("pulse samples have zero norm")
         return cls(name, grid, samples / norm)
@@ -112,7 +115,8 @@ class PulseShape:
     def norm_defect(self) -> float:
         """|1 - int |u|^2| under the composite Simpson rule on the grid."""
         from scipy.integrate import simpson
-        return abs(1.0 - simpson(self.samples**2, x=self.grid))
+        h = 1.0 / (self.grid.size - 1)
+        return abs(1.0 - simpson(self.samples**2, dx=h))
 
 
 @dataclass
@@ -133,6 +137,11 @@ class SubtractionDerived:
     u_tilde_half: np.ndarray
     G_half: np.ndarray
 
+    @property
+    def h(self) -> float:
+        """Step of the uniform grid."""
+        return 1.0 / (self.grid.size - 1)
+
     def ode_residual(self) -> float:
         """Max defect of the integrated ODE
         u~(t) = 2 gamma int_0^t (u - u~), which sidesteps the finite-
@@ -140,7 +149,7 @@ class SubtractionDerived:
         the boundary layer."""
         from scipy.integrate import cumulative_simpson
         rhs = 2.0 * self.gamma * cumulative_simpson(
-            self.u - self.u_tilde, x=self.grid, initial=0.0
+            self.u - self.u_tilde, dx=self.h, initial=0.0
         )
         return float(np.max(np.abs(self.u_tilde - rhs)))
 
@@ -149,22 +158,32 @@ def _rk4_filter(a: float, h: float, f, y0: float = 0.0):
     """March y' = a y + f with classical RK4 at fixed step h.
 
     f holds the 2N+1 forcing samples at step h/2: the nodes are f[::2], the
-    midpoints f[1::2].  Constant coefficients make the update linear, so
-    the whole march is one IIR filter pass.
+    midpoints f[1::2].  Constant coefficients make the update linear,
+    y[n] = R y[n-1] + g[n] with y[0] = y0, so the whole march is one
+    forward substitution through a unit lower bidiagonal system of N+1
+    rows, its right-hand side (y0, g[1..N]) written once.
     """
-    from scipy.signal import lfilter
+    from scipy.linalg.lapack import dtbtrs
     q = a * h
     R = 1.0 + q + q**2 / 2.0 + q**3 / 6.0 + q**4 / 24.0
     w0 = (h / 6.0) * (1.0 + q + q**2 / 2.0 + q**3 / 4.0)
     wm = (h / 6.0) * (4.0 + 2.0 * q + q**2 / 2.0)
     w1 = h / 6.0
     nodes = f[::2]
-    g = w0 * nodes[:-1] + wm * f[1::2] + w1 * nodes[1:]
-    y = lfilter([1.0], [1.0, -R], g)
-    if y0 != 0.0:
-        n = np.arange(1, len(g) + 1)
-        y = y + y0 * R**n
-    return np.concatenate(([y0], y))
+    rhs = np.empty((nodes.size, 1))
+    rhs[0] = y0
+    g = rhs[1:, 0]
+    np.multiply(w0, nodes[:-1], out=g)
+    g += wm * f[1::2]
+    g += w1 * nodes[1:]
+    # band storage: row 0 the (unit, unread) diagonal, row 1 the -R below it
+    band = np.empty((2, nodes.size), order="F")
+    band[0] = 1.0
+    band[1] = -R
+    y, info = dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=1)
+    if info != 0:
+        raise RuntimeError(f"dtbtrs failed with info = {info}")
+    return y[:, 0]
 
 
 def _refined_axis(pulse: PulseShape, gamma: float):
@@ -208,7 +227,7 @@ def derive_quantities(pulse: PulseShape, gamma: float) -> SubtractionDerived:
     ut2 = ut4[::2]
     w1 = _rk4_filter(-4.0 * gamma, 1.0 / n, 4.0 * gamma * u2 * (ut2 - th2))
 
-    G2 = 1.0 - cumulative_simpson(u2**2, x=t8[::4], initial=0.0)
+    G2 = 1.0 - cumulative_simpson(u2**2, dx=1.0 / (2 * n), initial=0.0)
     return SubtractionDerived(
         pulse=pulse, gamma=gamma, grid=t8[::8], u=u8[::8],
         u_tilde=ut4[::4], G=G2[::2], theta_tilde=th2[::2], w_tilde=w1,
@@ -221,7 +240,7 @@ def p_fail_k1(d: SubtractionDerived) -> float:
     int_0^inf |u - u~|^2, with the [1, inf) tail summed in closed form."""
     from scipy.integrate import simpson
     diff = d.u - d.u_tilde
-    body = simpson(diff**2, x=d.grid)
+    body = simpson(diff**2, dx=d.h)
     tail = d.u_tilde[-1] ** 2 / (4.0 * d.gamma)
     return float(body + tail)
 
@@ -240,12 +259,11 @@ def p_fail_k2(d: SubtractionDerived) -> float:
     the integrand vanishes identically for t > 1.
     """
     from scipy.integrate import cumulative_simpson, simpson
-    grid, u, ut, gamma = d.grid, d.u, d.u_tilde, d.gamma
-    h = 1.0 / (grid.size - 1)
+    u, ut, gamma, h = d.u, d.u_tilde, d.gamma, d.h
     D = u - ut
     tail1 = ut[-1] ** 2 / (4.0 * gamma)
 
-    cum = cumulative_simpson(D**2, x=grid, initial=0.0)
+    cum = cumulative_simpson(D**2, dx=h, initial=0.0)
     S = (cum[-1] - cum) + tail1
 
     # J by backward march: in s = 1 - t, dJ/ds = -2 gamma J + D(1 - s),
@@ -258,7 +276,7 @@ def p_fail_k2(d: SubtractionDerived) -> float:
     integrand = 2.0 * (
         D**2 * S - 2.0 * D * ut**2 * J + ut**4 / (4.0 * gamma)
     )
-    return float(simpson(integrand, x=grid))
+    return float(simpson(integrand, dx=h))
 
 
 def f_sub_single(d: SubtractionDerived, k: int) -> float:
@@ -266,7 +284,7 @@ def f_sub_single(d: SubtractionDerived, k: int) -> float:
     from scipy.integrate import simpson
     if k < 1:
         raise ValueError("k must be >= 1")
-    val = k * simpson(d.u_tilde * d.u * d.G ** (k - 1), x=d.grid)
+    val = k * simpson(d.u_tilde * d.u * d.G ** (k - 1), dx=d.h)
     return float(val**2)
 
 
@@ -280,11 +298,10 @@ def f_sub_double(d: SubtractionDerived, k: int) -> float:
     from scipy.integrate import cumulative_simpson, simpson
     if k < 2:
         raise ValueError("two-layer fidelity needs k >= 2")
-    grid, u, ut, G, wt = d.grid, d.u, d.u_tilde, d.G, d.w_tilde
-    h = 1.0 / (grid.size - 1)
+    u, ut, G, wt, h = d.u, d.u_tilde, d.G, d.w_tilde, d.h
 
     f = u * ut * G ** (k - 2)
-    cum = cumulative_simpson(f, x=grid, initial=0.0)
+    cum = cumulative_simpson(f, dx=h, initial=0.0)
     A = cum[-1] - cum          # int_t^1 u u~ G^{k-2}
 
     # B(t) = int_t^1 u(t2) G(t2)^{k-2} e^{-2 gamma (t2-t)} dt2, backward
@@ -292,7 +309,7 @@ def f_sub_double(d: SubtractionDerived, k: int) -> float:
     B = _rk4_filter(-2.0 * d.gamma, h, fb[::-1])[::-1]
 
     inner = u * ut * A + u * (0.5 * wt - ut**2) * B
-    val = k * (k - 1) * simpson(inner, x=grid)
+    val = k * (k - 1) * simpson(inner, dx=h)
     return float(val**2)
 
 

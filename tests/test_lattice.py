@@ -76,6 +76,17 @@ def test_square_coloring():
     assert sorted(e for g in groups for e in g) == list(range(len(m.edges)))
 
 
+@pytest.mark.parametrize("nx,ny,phi", [(3, 3, 1 / 3), (3, 4, 0.25)],
+                         ids=["torus3x3", "torus3x4"])
+def test_odd_periodic_square_coloring(nx, ny, phi):
+    # an odd periodic side has no parity split: on the 3x3 torus the wrap
+    # edge (2, 0) would share site 0 with (0, 1)
+    m = build_fqh(nx, ny, 1.0, 0.0, phi)
+    groups = edge_coloring(m)
+    _assert_disjoint(m, groups)
+    assert sorted(e for g in groups for e in g) == list(range(len(m.edges)))
+
+
 def _assert_disjoint(model, groups):
     for g in groups:
         touched = [s for e in g for s in model.edges[e][:2]]
@@ -159,7 +170,9 @@ def _gate_by_gate_step(model, dt, basis):
     (build_bose_hubbard(6, 1.0, 10.0, boundary="periodic"), range(4)),
     # U = 0: no on-site run
     (build_fqh(4, 4, 1.0, 0.0, 0.25), range(3)),
-], ids=["torus4x4", "open2x3", "ring5", "ring6", "free4x4"])
+    # the odd torus's greedy coloring
+    (build_fqh(3, 3, 1.0, 10.0, 1 / 3), range(4)),
+], ids=["torus4x4", "open2x3", "ring5", "ring6", "free4x4", "torus3x3"])
 def test_step_operator_matches_the_gate_by_gate_product(model, sectors):
     b = enumerate_basis(model.n_sites, sectors)
     u = step_operator(model, 0.25, b)

@@ -235,19 +235,34 @@ def test_half_step_arrays_are_the_pulse_on_the_half_grid(square, bump):
 
 def test_run_subtraction_derives_once_per_pulse_and_gamma(monkeypatch, tmp_path):
     calls = []
+    estimates = []
 
     def counted(pulse, gamma):
         calls.append((pulse.name, gamma))
         return derive_quantities(pulse, gamma)
 
+    def counting(est):
+        def wrapped(d, *k):
+            estimates.append((est.__name__, d.pulse.name, d.gamma, *k))
+            return est(d, *k)
+        return wrapped
+
     monkeypatch.setattr(experiments, "derive_quantities", counted)
     monkeypatch.setattr(subtraction, "derive_quantities", counted)
+    for est in (p_fail_k1, p_fail_k2, f_sub_single, f_sub_double):
+        monkeypatch.setattr(experiments, est.__name__, counting(est))
     cfg = {"pulses": ["square", "bump"], "k_list": [1, 2, 3],
            "gamma_grid": [50.0, 4000.0], "grid_points": 257}
     summary = experiments.run_subtraction(cfg, str(tmp_path))
     # the summary's gamma = 4000 square values reuse that row's derivation
+    # and its estimates: each estimator runs once per derivation and k
     assert sorted(calls) == sorted(
         (p, g) for p in ("square", "bump") for g in (50.0, 4000.0))
+    assert sorted(estimates) == sorted(
+        e for p, g in calls
+        for e in [("p_fail_k1", p, g), ("p_fail_k2", p, g)]
+        + [("f_sub_single", p, g, k) for k in (1, 2, 3)]
+        + [("f_sub_double", p, g, k) for k in (2, 3)])
     sq = PulseShape.square(257)
     d = derive_quantities(sq, 4000.0)
     assert summary["p_fail_k2"] == p_fail_k2(d)
@@ -260,13 +275,64 @@ def test_run_subtraction_derives_once_per_pulse_and_gamma(monkeypatch, tmp_path)
     assert sorted(calls) == [("bump", 50.0), ("square", 50.0)]
     for key in ("p_fail_k1", "p_fail_k2", "infidelity_k1", "infidelity_k2"):
         assert summary[key] is None, key
+    # k = 1 and 2 are estimated for the summary's row alone when k_list
+    # lacks them, and p_fail_k2 for no other row
+    estimates.clear()
+    summary = experiments.run_subtraction(
+        dict(cfg, pulses=["square"], k_list=[3]), str(tmp_path))
+    assert sorted(estimates) == sorted(
+        [("p_fail_k1", "square", g) for g in (50.0, 4000.0)]
+        + [("f_sub_single", "square", g, 3) for g in (50.0, 4000.0)]
+        + [("f_sub_double", "square", g, 3) for g in (50.0, 4000.0)]
+        + [("p_fail_k2", "square", 4000.0),
+           ("f_sub_single", "square", 4000.0, 1),
+           ("f_sub_single", "square", 4000.0, 2)])
+    assert summary["p_fail_k2"] == p_fail_k2(d)
+    assert summary["infidelity_k1"] == 1 - f_sub_single(d, 1)
 
 
 def test_import_leaves_scipy_quadratures_unloaded():
-    code = ("import sys, timebin; print(sorted(m for m in sys.modules "
-            "if m in ('scipy.integrate', 'scipy.signal')))")
+    # import timebin loads neither module; deriving and every estimator
+    # then load scipy.integrate, but never scipy.signal
+    code = """if True:
+        import sys, timebin
+        print(sorted(m for m in sys.modules
+                     if m in ('scipy.integrate', 'scipy.signal')))
+        from timebin.subtraction import (PulseShape, derive_quantities,
+            f_sub_double, f_sub_single, p_fail_k1, p_fail_k2)
+        d = derive_quantities(PulseShape.square(17), 100.0)
+        p_fail_k1(d), p_fail_k2(d), f_sub_single(d, 2), f_sub_double(d, 2)
+        d.ode_residual()
+        print('scipy.signal' in sys.modules)
+    """
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, timeout=60,
                          env=dict(os.environ, PYTHONPATH=str(src)))
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "False"]
+
+
+def _rk4_loop(a, h, f, y0):
+    """The plain reference: one classical RK4 step at a time, the forcing
+    taken from f's nodes and midpoints."""
+    y = [y0]
+    for n in range((len(f) - 1) // 2):
+        f0, fm, f1 = f[2 * n], f[2 * n + 1], f[2 * n + 2]
+        k1 = a * y[-1] + f0
+        k2 = a * (y[-1] + h / 2 * k1) + fm
+        k3 = a * (y[-1] + h / 2 * k2) + fm
+        k4 = a * (y[-1] + h * k3) + f1
+        y.append(y[-1] + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    return np.array(y)
+
+
+@pytest.mark.parametrize("ah", [-1 / 32, -1 / 8, -0.5])
+@pytest.mark.parametrize("y0", [0.0, -0.7])
+def test_rk4_march_matches_the_step_by_step_loop(ah, y0):
+    n = 400
+    h = 1.0 / n
+    f = np.random.default_rng(3).uniform(-1.0, 1.0, 2 * n + 1)
+    want = _rk4_loop(ah / h, h, f, y0)
+    got = subtraction._rk4_filter(ah / h, h, f, y0)
+    assert got.shape == want.shape and got[0] == y0
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
