@@ -12,7 +12,8 @@ into tiny two-mode orbits and each Kraus operator is sparse with at most
 ancilla_cut entries per column.  Only the phase depends on the drive
 frequency, and it commutes with every other site's Kraus map and with the
 number-conserving Trotter step, so a full circulation factors as
-E_Omega = P_Omega o E_0 with P_Omega one diagonal on rho.
+E_Omega = P_Omega o E_0 with P_Omega one diagonal on rho.  Every iterate
+is Hermitian, so a circulation carries only rho's upper triangle.
 
 Fixed points are found by plain power iteration; the returned report
 always states the exact trace-norm residual of one more channel
@@ -242,8 +243,16 @@ class CirculationChannel:
     """One full circulation: a Trotter Hamiltonian step as rho -> U rho U+,
     then the drive/dissipation channel on every site.
 
-    The step conserves photon number, so U rho U+ is done per sector slice,
-    first the rows (U_k rho[k, :]) and then the columns (x[:, k] U_k+).
+    The input must be Hermitian, as every density matrix and every iterate
+    of the channel is: the call reads only its sector blocks on and above
+    the diagonal, and on the fused path it returns a bitwise-Hermitian
+    result (real diagonal, each lower entry the conjugate of its mirror).
+
+    The step conserves photon number, so the upper triangle of U rho U+
+    is formed per sector slice: first sector k's rows of U rho
+    from its own start (U_k rho[k, k:]), then the columns (x[:, k] U_k+),
+    in two panels split at the sector's middle column, each down to the
+    panel's last row on or above the diagonal.
 
     The drive frequency enters only through the sites' phases e^{i Phi n_j},
     Phi = Omega_drive dt.  Each commutes with the other sites' Kraus maps,
@@ -253,21 +262,29 @@ class CirculationChannel:
     channel at another drive frequency that shares all of them.
 
     Up to ``SUPER_DIM_LIMIT`` basis states the per-site channels are fused
-    into sparse superoperators on vec(rho), one per pair of sites (an odd
-    site count leaves one single last).  Larger bases apply the Kraus
-    operators one by one.  Both paths end with the phase diagonal and give
-    the same rho to ~2e-17.  The fused call is 5-6x faster, but the
-    superoperators grow as dim^2.
-    Measured with BLAS on one thread, best of three runs:
+    into sparse superoperators, one per pair of sites (an odd site count
+    leaves one single last), folded onto the upper triangle.  With v the
+    n_u = dim (dim + 1) / 2 upper entries of the row-major vec(rho), a
+    0/1 lift L with one entry per row gives vec(rho) = L [v | conj(v)]
+    (a lower entry reads its mirror's conjugate, a diagonal one v), so each
+    pair acts as S_half = S[upper] L, an n_u x 2 n_u matrix with half the
+    nonzeros of S.  The call writes conj(v) into the second half of one
+    buffer before each S_half, applies the phase to v, and expands v back
+    to rho with one gather.  Larger bases mirror the step's upper triangle
+    and apply the Kraus operators one by one.  Both paths end with the
+    phase diagonal and give the same rho to ~3e-17.  The fused call is
+    4-7x faster, but the superoperators grow as dim^2.
+    Measured with BLAS on one thread, best of three runs (dim 455 with the
+    limit raised):
 
         dim   lattice, sectors   fused call   per-Kraus call
-         45   2x4, 0..2             0.13 ms           0.64 ms
-        153   4x4, 0..2              2.0 ms             11 ms
-        455   3x4, 0..3               49 ms           ~300 ms
+         45   2x4, 0..2             0.13 ms           0.76 ms
+        153   4x4, 0..2              1.6 ms             11 ms
+        455   3x4, 0..3               28 ms           ~110 ms
 
-    At dim 969 (4x4, sectors 0..3) the fused build took 3.8 s and peaked
-    at 923 MB RSS, against 0.5 s and 178 MB per-Kraus, so the limit keeps
-    the fused path to bases whose superoperators stay small.
+    At dim 969 (4x4, sectors 0..3) the unfolded fused build took 3.8 s and
+    peaked at 923 MB RSS, against 0.5 s and 178 MB per-Kraus, so the limit
+    keeps the fused path to bases whose superoperators stay small.
     """
 
     def __init__(self, model: LatticeModel, delta_t: float,
@@ -280,30 +297,56 @@ class CirculationChannel:
         if (self.basis.n_modes, self.basis.sectors) != want:
             raise ValueError(f"need (n_modes, sectors) {want}, got {self.basis}")
         self.step = step_operator(model, delta_t, self.basis)
-        # the step conserves photon number: (slice, U_k, U_k^dag) per sector
-        self._blocks = []
+        # the step conserves photon number: (slice, U_k) per sector, and
+        # U_k^dag cut at the sector's middle column into (slice, columns,
+        # U_k^dag[:, columns]) panels
+        self._blocks, self._panels = [], []
         for k in self.basis.sectors:
             sl = self.basis.sector_slice(k)
-            u = np.ascontiguousarray(self.step[sl, sl])
-            self._blocks.append((sl, u, np.ascontiguousarray(u.conj().T)))
+            self._blocks.append((sl, np.ascontiguousarray(self.step[sl, sl])))
+            mid = (sl.start + sl.stop) // 2
+            for cols in (slice(sl.start, mid), slice(mid, sl.stop)):
+                if cols.start < cols.stop:
+                    self._panels.append((sl, cols, np.ascontiguousarray(
+                        self.step[cols, sl].conj().T)))
         self.sites = [
             DriveDissChannel(self.basis, j, params, ancilla_cut)
             for j in range(model.n_sites)
         ]
-        self._supers = None
-        if self.basis.dim <= SUPER_DIM_LIMIT:
+        self._supers = self._upper = None
+        d = self.basis.dim
+        if d <= SUPER_DIM_LIMIT:
+            rows, cols = np.triu_indices(d)
+            n_u = len(rows)
+            # vec(rho) = [v | conj(v)][lift], v = vec(rho)[upper]: a lower
+            # entry reads the conjugate of its mirror, a diagonal one v
+            self._upper = rows * d + cols
+            self._diag = np.flatnonzero(rows == cols)
+            lift = np.empty((d, d), dtype=np.intp)
+            lift[cols, rows] = n_u + np.arange(n_u)
+            lift[rows, cols] = np.arange(n_u)
+            self._lift = lift.ravel()
             self._supers = []
             for j in range(0, len(self.sites), 2):
+                # S_half = S[upper] @ L, the 0/1 lift L one entry per row
                 s = self.sites[j].as_superoperator()
                 if j + 1 < len(self.sites):
-                    s = self.sites[j + 1].as_superoperator() @ s
-                self._supers.append(s)
+                    s = self.sites[j + 1].as_superoperator()[self._upper] @ s
+                else:
+                    s = s[self._upper]
+                self._supers.append(sp.csr_matrix(
+                    (s.data, self._lift[s.indices], s.indptr),
+                    shape=(n_u, 2 * n_u)))
         self._tune(params)
 
     def _tune(self, params: DriveDissParams):
         self.params = params
         n = self.basis.totals()
-        self._phase = np.exp(1j * params.Phi * (n[:, None] - n[None, :]))
+        dn = (n[:, None] - n[None, :]).ravel()
+        # the phase of each entry the call carries: all, or the upper half
+        if self._upper is not None:
+            dn = dn[self._upper]
+        self._phase = np.exp(1j * params.Phi * dn)
 
     def at_omega(self, Omega_drive: float) -> "CirculationChannel":
         """The channel at another drive frequency; it shares this one's
@@ -315,20 +358,31 @@ class CirculationChannel:
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         half = np.empty(rho.shape, dtype=complex)
         out = np.empty(rho.shape, dtype=complex)
-        for sl, u, _ in self._blocks:
-            np.matmul(u, rho[sl], out=half[sl])
-        for sl, _, u_h in self._blocks:
-            np.matmul(half[:, sl], u_h, out=out[:, sl])
+        # only the upper triangle of U rho U^dag: a sector's rows of U rho
+        # from its own start, then a panel's columns down to its last one
+        for sl, u in self._blocks:
+            np.matmul(u, rho[sl, sl.start:], out=half[sl, sl.start:])
+        for sl, cols, u_h in self._panels:
+            np.matmul(half[:cols.stop, sl], u_h, out=out[:cols.stop, cols])
         if self._supers is None:
+            out = np.triu(out)
+            out += np.triu(out, 1).conj().T
             for site in self.sites:
                 out = site.apply(out)
-        else:
-            v = out.ravel()
-            for s in self._supers:
-                v = s @ v
-            out = v.reshape(out.shape)
-        out *= self._phase
-        return out
+            out *= self._phase.reshape(out.shape)
+            return out
+        n_u = len(self._upper)
+        buf = np.empty(2 * n_u, dtype=complex)
+        v = out.ravel()[self._upper]
+        for s in self._supers:
+            buf[:n_u] = v
+            np.conjugate(v, out=buf[n_u:])
+            v = s @ buf
+        v *= self._phase
+        v.imag[self._diag] = 0.0
+        buf[:n_u] = v
+        np.conjugate(v, out=buf[n_u:])
+        return buf[self._lift].reshape(rho.shape)
 
 
 def _trace_norm(mat: np.ndarray) -> float:
@@ -343,7 +397,16 @@ def fixed_point(channel, initial_rho: DensityMatrix, tol: float = 1e-9,
     Convergence is declared once sqrt(dim) * ||delta||_F < tol, which
     bounds the trace-norm criterion ||delta||_1 < tol; the report carries
     the exact trace-norm residual of one extra channel application.
+
+    initial_rho must be Hermitian to 1e-12, or ValueError is raised before
+    any channel call: CirculationChannel reads only the sector blocks of
+    its input on and above the diagonal, and its fused path carries only
+    the upper triangle, so it would iterate another start than the one
+    given.
     """
+    defect = initial_rho.hermiticity_defect()
+    if defect > 1e-12:
+        raise ValueError(f"initial_rho is not Hermitian (defect {defect:.2e})")
     basis = initial_rho.basis
     rho = initial_rho.matrix.astype(complex).copy()
     sq_dim = math.sqrt(basis.dim)

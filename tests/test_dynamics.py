@@ -53,6 +53,42 @@ def random_density(dim, seed):
     return rho / np.trace(rho).real
 
 
+def random_hermitian(dim, seed):
+    """A Hermitian matrix of unit trace norm with eigenvalues of both signs."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = a + a.conj().T
+    return h / np.sum(np.abs(np.linalg.eigvalsh(h)))
+
+
+def check_fused_call(fused, per_kraus):
+    """The fused call against the per-Kraus path and against the full-vec
+    formula it folds: the site superoperators in pairs on vec(U rho U+),
+    then the drive-phase diagonal; its output is bitwise Hermitian.  The
+    fold keeps exactly the nonzeros of the pairs' upper-triangle rows;
+    returns their share of the full pairs' nonzeros."""
+    sites = [s.as_superoperator() for s in fused.sites]
+    pairs = [sites[j + 1] @ sites[j] if j + 1 < len(sites) else sites[j]
+             for j in range(0, len(sites), 2)]
+    upper = np.flatnonzero(np.triu(np.ones((fused.basis.dim,) * 2)))
+    nnz = sum(s.nnz for s in fused._supers)
+    assert nnz == sum(s[upper].nnz for s in pairs)
+    n = fused.basis.totals()
+    phase = np.exp(1j * fused.params.Phi * (n[:, None] - n[None, :]))
+    dim = fused.basis.dim
+    for seed in range(2):
+        for rho in (random_density(dim, seed), random_hermitian(dim, seed)):
+            out = fused(rho)
+            assert np.array_equal(out, out.conj().T)
+            want = (fused.step @ rho @ fused.step.conj().T).ravel()
+            for s in pairs:
+                want = s @ want
+            want = want.reshape(rho.shape) * phase
+            assert np.max(np.abs(out - want)) < 1e-15
+            assert np.max(np.abs(per_kraus(rho) - out)) < 1e-15
+    return nnz / sum(s.nnz for s in pairs)
+
+
 def site_map(basis, site, p, rho):
     """One site's drive/dissipation step as the circuit runs it: the site's
     Kraus map, then its phase e^{i Phi n_site}."""
@@ -254,9 +290,8 @@ def test_per_kraus_path_matches_fused(monkeypatch):
     monkeypatch.setattr(dynamics, "SUPER_DIM_LIMIT", 0)
     per_kraus = CirculationChannel(model, 0.25, p, n_max=2, basis=basis)
     assert fused._supers is not None and per_kraus._supers is None
-    for seed in range(2):
-        rho = random_density(basis.dim, seed)
-        assert np.max(np.abs(per_kraus(rho) - fused(rho))) < 1e-15
+    # the upper triangle holds about half of every pair's rows
+    assert check_fused_call(fused, per_kraus) <= 0.55
 
 
 def test_odd_site_count_keeps_a_single_last_superoperator(monkeypatch):
@@ -269,9 +304,7 @@ def test_odd_site_count_keeps_a_single_last_superoperator(monkeypatch):
     monkeypatch.setattr(dynamics, "SUPER_DIM_LIMIT", 0)
     per_kraus = CirculationChannel(model, 0.25, p, n_max=2, basis=basis)
     assert len(fused._supers) == 2 and per_kraus._supers is None
-    for seed in range(2):
-        rho = random_density(basis.dim, seed)
-        assert np.max(np.abs(per_kraus(rho) - fused(rho))) < 1e-15
+    check_fused_call(fused, per_kraus)
 
 
 def test_at_omega_leaves_its_base_and_shares_the_unphased_pairs(
@@ -332,6 +365,21 @@ def test_fixed_point_identity_channel(small_basis):
     assert rep.iterations == 1
     assert rep.converged
     assert np.array_equal(rep.rho_fix.matrix, rho0.matrix)
+
+
+def test_fixed_point_refuses_a_non_hermitian_start(small_basis):
+    # the fused channel reads only the upper triangle of its input
+    calls = []
+
+    def channel(rho):
+        calls.append(rho)
+        return rho
+
+    rho = random_density(small_basis.dim, 3)
+    rho[0, 1] += 1e-9
+    with pytest.raises(ValueError, match="not Hermitian"):
+        fixed_point(channel, DensityMatrix(small_basis, rho))
+    assert not calls
 
 
 def test_fixed_point_pure_loss_reaches_vacuum(small_basis):
