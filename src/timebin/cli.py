@@ -14,7 +14,8 @@ import math
 import sys
 
 from . import experiments
-from .dynamics import INITS, ProtocolError, check_ancilla_cut, check_refresh
+from .dynamics import (INITS, MAX_CHANNEL_STATES, ProtocolError,
+                       check_ancilla_cut, check_refresh)
 from .fock import sector_dimension
 from .lattice import build_bose_hubbard, build_fqh
 
@@ -158,6 +159,10 @@ def validate_config(experiment: str, cfg: dict):
     if dim > MAX_BASIS_STATES:
         raise ConfigError(f"the run's Fock basis exceeds {MAX_BASIS_STATES} "
                           "states; lower the sectors, n_max or lattice size")
+    if experiment == "steady_state" and dim > MAX_CHANNEL_STATES:
+        raise ConfigError(f"the drive channel's basis of {dim} states exceeds "
+                          f"{MAX_CHANNEL_STATES}; lower n_max or the lattice "
+                          "size")
     # build the model (and a compile's layout) the run will build, and
     # check the protocol's refresh rule and the drive ancilla's truncation,
     # so a config the lattice, schedule or channel rules reject fails here

@@ -74,11 +74,12 @@ __all__ = [
     "INITS",
     "check_refresh",
     "check_ancilla_cut",
+    "MAX_CHANNEL_STATES",
 ]
 
-# largest basis whose per-site channels CirculationChannel fuses into
-# superoperators (see its docstring for the measured trade-off)
-SUPER_DIM_LIMIT = 256
+# largest basis CirculationChannel takes: at 969 states its folded pair
+# superoperators hold 14.3M nonzeros and the build peaks near 600 MB
+MAX_CHANNEL_STATES = 1024
 
 
 @dataclass
@@ -245,8 +246,9 @@ class CirculationChannel:
 
     The input must be Hermitian, as every density matrix and every iterate
     of the channel is: the call reads only its sector blocks on and above
-    the diagonal, and on the fused path it returns a bitwise-Hermitian
-    result (real diagonal, each lower entry the conjugate of its mirror).
+    the diagonal, and returns a bitwise-Hermitian result (real diagonal,
+    each lower entry the conjugate of its mirror).  params.delta_t must be
+    the circulation time delta_t, which sets both the step and K dt.
 
     The step conserves photon number, so the upper triangle of U rho U+
     is formed per sector slice: first sector k's rows of U rho
@@ -257,45 +259,46 @@ class CirculationChannel:
     The drive frequency enters only through the sites' phases e^{i Phi n_j},
     Phi = Omega_drive dt.  Each commutes with the other sites' Kraus maps,
     so they act last, as one diagonal that multiplies rho_ab by
-    e^{i Phi (N_a - N_b)}.  The step, the per-site maps and their fused
+    e^{i Phi (N_a - N_b)}.  The step, the per-site maps and the pair
     superoperators are built without it, and ``at_omega`` returns the
     channel at another drive frequency that shares all of them.
 
-    Up to ``SUPER_DIM_LIMIT`` basis states the per-site channels are fused
-    into sparse superoperators, one per pair of sites (an odd site count
-    leaves one single last), folded onto the upper triangle.  With v the
-    n_u = dim (dim + 1) / 2 upper entries of the row-major vec(rho), a
-    0/1 lift L with one entry per row gives vec(rho) = L [v | conj(v)]
-    (a lower entry reads its mirror's conjugate, a diagonal one v), so each
-    pair acts as S_half = S[upper] L, an n_u x 2 n_u matrix with half the
-    nonzeros of S.  The call writes conj(v) into the second half of one
-    buffer before each S_half, applies the phase to v, and expands v back
-    to rho with one gather.  Larger bases mirror the step's upper triangle
-    and apply the Kraus operators one by one.  Both paths end with the
-    phase diagonal and give the same rho to ~3e-17.  The fused call is
-    4-7x faster, but the superoperators grow as dim^2.
-    Measured with BLAS on one thread, best of three runs (dim 455 with the
-    limit raised):
+    The per-site channels are fused into sparse superoperators, one per
+    pair of sites (an odd site count leaves one single last), folded onto
+    the upper triangle.  With v the n_u = dim (dim + 1) / 2 upper entries
+    of the row-major vec(rho), a 0/1 lift L with one entry per row gives
+    vec(rho) = L [v | conj(v)] (a lower entry reads its mirror's
+    conjugate, a diagonal one v), so each pair acts as S_half = S[upper] L,
+    an n_u x 2 n_u matrix with half the nonzeros of S.  The call writes
+    conj(v) into the second half of one buffer before each S_half, applies
+    the phase to v, and expands v back to rho with one gather.  The
+    superoperators grow as dim^2, so bases above ``MAX_CHANNEL_STATES``
+    raise ValueError.  Measured with BLAS on one thread, best of three
+    runs, with the process's peak RSS after the build:
 
-        dim   lattice, sectors   fused call   per-Kraus call
-         45   2x4, 0..2             0.13 ms           0.76 ms
-        153   4x4, 0..2              1.6 ms             11 ms
-        455   3x4, 0..3               28 ms           ~110 ms
-
-    At dim 969 (4x4, sectors 0..3) the unfolded fused build took 3.8 s and
-    peaked at 923 MB RSS, against 0.5 s and 178 MB per-Kraus, so the limit
-    keeps the fused path to bases whose superoperators stay small.
+        dim   lattice, sectors   call      build    peak RSS
+         45   2x4, 0..2          0.13 ms   0.02 s     63 MB
+        153   4x4, 0..2           1.5 ms   0.08 s     72 MB
+        455   3x4, 0..3            25 ms   0.38 s    185 MB
+        969   4x4, 0..3           195 ms    2.2 s    601 MB
     """
 
     def __init__(self, model: LatticeModel, delta_t: float,
                  params: DriveDissParams, n_max: int = 3,
                  ancilla_cut: int = 3, basis: FockBasis = None):
+        if params.delta_t != delta_t:
+            raise ValueError(f"params.delta_t {params.delta_t} is not the "
+                             f"circulation time {delta_t}")
         self.model = model
         self.delta_t = delta_t
         self.basis = basis or enumerate_basis(model.n_sites, range(n_max + 1))
         want = (model.n_sites, tuple(range(n_max + 1)))
         if (self.basis.n_modes, self.basis.sectors) != want:
             raise ValueError(f"need (n_modes, sectors) {want}, got {self.basis}")
+        d = self.basis.dim
+        if d > MAX_CHANNEL_STATES:
+            raise ValueError(f"basis of {d} states exceeds MAX_CHANNEL_STATES "
+                             f"= {MAX_CHANNEL_STATES}")
         self.step = step_operator(model, delta_t, self.basis)
         # the step conserves photon number: (slice, U_k) per sector, and
         # U_k^dag cut at the sector's middle column into (slice, columns,
@@ -313,44 +316,39 @@ class CirculationChannel:
             DriveDissChannel(self.basis, j, params, ancilla_cut)
             for j in range(model.n_sites)
         ]
-        self._supers = self._upper = None
-        d = self.basis.dim
-        if d <= SUPER_DIM_LIMIT:
-            rows, cols = np.triu_indices(d)
-            n_u = len(rows)
-            # vec(rho) = [v | conj(v)][lift], v = vec(rho)[upper]: a lower
-            # entry reads the conjugate of its mirror, a diagonal one v
-            self._upper = rows * d + cols
-            self._diag = np.flatnonzero(rows == cols)
-            lift = np.empty((d, d), dtype=np.intp)
-            lift[cols, rows] = n_u + np.arange(n_u)
-            lift[rows, cols] = np.arange(n_u)
-            self._lift = lift.ravel()
-            self._supers = []
-            for j in range(0, len(self.sites), 2):
-                # S_half = S[upper] @ L, the 0/1 lift L one entry per row
-                s = self.sites[j].as_superoperator()
-                if j + 1 < len(self.sites):
-                    s = self.sites[j + 1].as_superoperator()[self._upper] @ s
-                else:
-                    s = s[self._upper]
-                self._supers.append(sp.csr_matrix(
-                    (s.data, self._lift[s.indices], s.indptr),
-                    shape=(n_u, 2 * n_u)))
+        rows, cols = np.triu_indices(d)
+        n_u = len(rows)
+        # vec(rho) = [v | conj(v)][lift], v = vec(rho)[upper]: a lower
+        # entry reads the conjugate of its mirror, a diagonal one v
+        self._upper = rows * d + cols
+        self._diag = np.flatnonzero(rows == cols)
+        n = self.basis.totals()
+        self._dn = n[rows] - n[cols]
+        lift = np.empty((d, d), dtype=np.intp)
+        lift[cols, rows] = n_u + np.arange(n_u)
+        lift[rows, cols] = np.arange(n_u)
+        self._lift = lift.ravel()
+        self._supers = []
+        for j in range(0, len(self.sites), 2):
+            # S_half = S[upper] @ L, the 0/1 lift L one entry per row
+            s = self.sites[j].as_superoperator()
+            if j + 1 < len(self.sites):
+                s = self.sites[j + 1].as_superoperator()[self._upper] @ s
+            else:
+                s = s[self._upper]
+            self._supers.append(sp.csr_matrix(
+                (s.data, self._lift[s.indices], s.indptr),
+                shape=(n_u, 2 * n_u)))
         self._tune(params)
 
     def _tune(self, params: DriveDissParams):
         self.params = params
-        n = self.basis.totals()
-        dn = (n[:, None] - n[None, :]).ravel()
-        # the phase of each entry the call carries: all, or the upper half
-        if self._upper is not None:
-            dn = dn[self._upper]
-        self._phase = np.exp(1j * params.Phi * dn)
+        # the phase e^{i Phi (N_a - N_b)} of each upper entry
+        self._phase = np.exp(1j * params.Phi * self._dn)
 
     def at_omega(self, Omega_drive: float) -> "CirculationChannel":
         """The channel at another drive frequency; it shares this one's
-        step, per-site maps and fused superoperators."""
+        step, per-site maps and pair superoperators."""
         ch = copy.copy(self)
         ch._tune(replace(self.params, Omega_drive=Omega_drive))
         return ch
@@ -364,13 +362,6 @@ class CirculationChannel:
             np.matmul(u, rho[sl, sl.start:], out=half[sl, sl.start:])
         for sl, cols, u_h in self._panels:
             np.matmul(half[:cols.stop, sl], u_h, out=out[:cols.stop, cols])
-        if self._supers is None:
-            out = np.triu(out)
-            out += np.triu(out, 1).conj().T
-            for site in self.sites:
-                out = site.apply(out)
-            out *= self._phase.reshape(out.shape)
-            return out
         n_u = len(self._upper)
         buf = np.empty(2 * n_u, dtype=complex)
         v = out.ravel()[self._upper]
@@ -400,9 +391,8 @@ def fixed_point(channel, initial_rho: DensityMatrix, tol: float = 1e-9,
 
     initial_rho must be Hermitian to 1e-12, or ValueError is raised before
     any channel call: CirculationChannel reads only the sector blocks of
-    its input on and above the diagonal, and its fused path carries only
-    the upper triangle, so it would iterate another start than the one
-    given.
+    its input on and above the diagonal and carries only the upper
+    triangle, so it would iterate another start than the one given.
     """
     defect = initial_rho.hermiticity_defect()
     if defect > 1e-12:

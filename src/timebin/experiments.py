@@ -2,8 +2,9 @@
 
 Every experiment takes a flat config dict (validated upstream), writes CSV
 and JSON artifacts into an output directory, and returns a summary dict.
-All outputs are deterministic: no clocks, no random numbers, floats
-serialized with 17 significant digits.
+All outputs are deterministic: no clocks, no random numbers.  CSV floats
+are written with 17 significant digits, JSON floats as Python's shortest
+round-trip repr.
 """
 
 from __future__ import annotations
@@ -185,11 +186,13 @@ def run_quench(cfg, outdir):
         ["step", "time", "i", "j", "correlator"], rows,
     )
     same, opposite = side_masses(correlators[-1])
-    # wavefronts reach the antipode of the ring at t* = N_x/(4J); past that
-    # they wrap and eventually revive at the starting bond, which scrambles
-    # the side bookkeeping (on the 8-ring the revival lands exactly at 4/J)
-    v_max = 2.0 * cfg["J"]
-    s_star = min(n_steps, int(round(n_x / (2.0 * v_max) / dt)))
+    # wavefronts reach the antipode of the ring at t* = N_x/(4|J|); past
+    # that they wrap and eventually revive at the starting bond, which
+    # scrambles the side bookkeeping (on the 8-ring the revival lands
+    # exactly at 4/|J|); at J = 0 nothing spreads, so t* is the last step
+    v_max = 2.0 * abs(cfg["J"])
+    s_star = (min(n_steps, int(round(n_x / (2.0 * v_max) / dt))) if v_max
+              else n_steps)
     same_star, opposite_star = side_masses(correlators[s_star])
     summary = {
         "N_x": n_x, "U": cfg["U"], "delta_t": dt, "n_steps": n_steps,

@@ -39,6 +39,24 @@ def test_compile_square_default_pitch_follows_l_x(tmp_path):
     assert cert["equal"] and cert["distance"] < 1e-10
 
 
+def test_quench_reads_the_wavefront_speed_of_either_sign_of_j(tmp_path):
+    # on the even ring, flipping the sign of every other mode turns J into
+    # -J, so J = -1 gives J = 1's correlators and antipodal time; at J = 0
+    # nothing spreads, and the antipodal point is the last step
+    runs = {}
+    for j in (1.0, -1.0, 0.0):
+        out = tmp_path / f"J{j}"
+        assert cli.main(["quench", "--set", f"J={j}", "--out", str(out)]) == 0
+        with open(out / "quench_correlator.csv") as fh:
+            corr = [float(r["correlator"]) for r in csv.DictReader(fh)]
+        runs[j] = json.loads((out / "summary.json").read_text()), corr
+    (plus, c_plus), (minus, c_minus), (zero, _) = runs.values()
+    assert minus["antipodal_time"] == plus["antipodal_time"] == 2.0
+    assert max(abs(a - b) for a, b in zip(c_plus, c_minus)) < 1e-14
+    assert zero["antipodal_time"] == zero["n_steps"] * zero["delta_t"]
+    assert zero["same_side_mass_antipodal"] == zero["same_side_mass"]
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--set", "phi_plaq=0.3"],
     ["incoherent", "--set", "n_max=1"],
@@ -90,6 +108,8 @@ def test_compile_square_default_pitch_follows_l_x(tmp_path):
     # a Fock basis above MAX_BASIS_STATES (4,845 and 16,524 states)
     ["incoherent", "--set", "n_max=4"],
     ["spectrum", "--set", "sectors=[1,2,5]"],
+    # a drive-channel basis above MAX_CHANNEL_STATES (1,771 states)
+    ["steady_state", "--set", "N_x=4", "--set", "N_y=5", "--set", "n_max=3"],
     # rules only the protocol build checks: a transfer probability of 717
     # per circulation, and U = 0 (no two-state ground doublet)
     ["incoherent", "--set", "N_x=2", "--set", "N_y=2",
@@ -216,7 +236,7 @@ def test_protocol_trace_holds_every_sector(tmp_path):
 # with ones it rejects
 FUZZ_VALUES = {
     "quench": {
-        "N_x": [1, 2, 3, 5], "U": [0.0, 10.0, -3.0],
+        "N_x": [1, 2, 3, 5], "J": [0.0, 1.0, -1.0], "U": [0.0, 10.0, -3.0],
         "delta_t": [0.2, 2.0, -0.1], "total_time": [0.0, 0.4, -1.0],
         "boundary": ["open", "periodic", "foo"],
     },

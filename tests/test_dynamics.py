@@ -61,12 +61,24 @@ def random_hermitian(dim, seed):
     return h / np.sum(np.abs(np.linalg.eigvalsh(h)))
 
 
-def check_fused_call(fused, per_kraus):
-    """The fused call against the per-Kraus path and against the full-vec
-    formula it folds: the site superoperators in pairs on vec(U rho U+),
-    then the drive-phase diagonal; its output is bitwise Hermitian.  The
-    fold keeps exactly the nonzeros of the pairs' upper-triangle rows;
-    returns their share of the full pairs' nonzeros."""
+def per_kraus_call(channel, rho):
+    """The circulation with the Kraus operators applied one by one: the
+    upper triangle of U rho U+ mirrored to the full matrix, then each
+    site's Kraus map, then the drive-phase diagonal."""
+    out = np.triu(channel.step @ rho @ channel.step.conj().T)
+    out += np.triu(out, 1).conj().T
+    for site in channel.sites:
+        out = site.apply(out)
+    n = channel.basis.totals()
+    return out * np.exp(1j * channel.params.Phi * (n[:, None] - n[None, :]))
+
+
+def check_fused_call(fused):
+    """The fused call against the per-Kraus reference and against the
+    full-vec formula it folds: the site superoperators in pairs on
+    vec(U rho U+), then the drive-phase diagonal; its output is bitwise
+    Hermitian.  The fold keeps exactly the nonzeros of the pairs'
+    upper-triangle rows; returns their share of the full pairs' nonzeros."""
     sites = [s.as_superoperator() for s in fused.sites]
     pairs = [sites[j + 1] @ sites[j] if j + 1 < len(sites) else sites[j]
              for j in range(0, len(sites), 2)]
@@ -85,7 +97,7 @@ def check_fused_call(fused, per_kraus):
                 want = s @ want
             want = want.reshape(rho.shape) * phase
             assert np.max(np.abs(out - want)) < 1e-15
-            assert np.max(np.abs(per_kraus(rho) - out)) < 1e-15
+            assert np.max(np.abs(per_kraus_call(fused, rho) - out)) < 1e-15
     return nnz / sum(s.nnz for s in pairs)
 
 
@@ -280,31 +292,47 @@ def test_channel_rejects_a_basis_off_its_sectors(small_model, small_basis):
             CirculationChannel(small_model, 0.25, p, n_max=n_max, basis=basis)
 
 
-def test_per_kraus_path_matches_fused(monkeypatch):
-    # the 2x4 basis (dim 45) is fused by default; a zero limit forces the
-    # per-Kraus path that larger bases take
+def test_per_kraus_path_matches_fused():
+    # the 2x4 basis (dim 45): the pair superoperators against the Kraus
+    # operators applied one by one
     model = build_fqh(2, 4, 1.0, 10.0, 0.25)
     basis = enumerate_basis(8, range(3))
     p = DriveDissParams.from_circuit(0.1, 0.01, -2.5, 0.25)
     fused = CirculationChannel(model, 0.25, p, n_max=2, basis=basis)
-    monkeypatch.setattr(dynamics, "SUPER_DIM_LIMIT", 0)
-    per_kraus = CirculationChannel(model, 0.25, p, n_max=2, basis=basis)
-    assert fused._supers is not None and per_kraus._supers is None
     # the upper triangle holds about half of every pair's rows
-    assert check_fused_call(fused, per_kraus) <= 0.55
+    assert check_fused_call(fused) <= 0.55
 
 
-def test_odd_site_count_keeps_a_single_last_superoperator(monkeypatch):
-    # three sites fuse into one pair and one single; both channels carry a
-    # drive phase, which both paths apply last as one diagonal
+def test_odd_site_count_keeps_a_single_last_superoperator():
+    # three sites fuse into one pair and one single; the channel carries a
+    # drive phase, which it and the per-Kraus reference apply last as one
+    # diagonal
     model = build_bose_hubbard(3, 1.0, 10.0)
     basis = enumerate_basis(3, range(3))
     p = DriveDissParams.from_circuit(0.2, 0.02, -1.7, 0.25)
     fused = CirculationChannel(model, 0.25, p, n_max=2, basis=basis)
-    monkeypatch.setattr(dynamics, "SUPER_DIM_LIMIT", 0)
-    per_kraus = CirculationChannel(model, 0.25, p, n_max=2, basis=basis)
-    assert len(fused._supers) == 2 and per_kraus._supers is None
-    check_fused_call(fused, per_kraus)
+    assert len(fused._supers) == 2
+    check_fused_call(fused)
+
+
+def test_channel_refuses_a_basis_above_its_bound():
+    # the 4x5 lattice over sectors 0..3 holds 1,771 states
+    model = build_fqh(4, 5, 1.0, 10.0, 0.25)
+    basis = enumerate_basis(20, range(4))
+    assert basis.dim == 1771 > dynamics.MAX_CHANNEL_STATES
+    p = DriveDissParams.from_circuit(0.1, 0.01, -2.5, 0.25)
+    with pytest.raises(ValueError, match="MAX_CHANNEL_STATES"):
+        CirculationChannel(model, 0.25, p, n_max=3, basis=basis)
+
+
+def test_channel_refuses_params_at_another_circulation_time(small_model,
+                                                            small_basis):
+    # params.delta_t sets K dt and the drive phase, delta_t the step: a
+    # mismatch would drive at the wrong frequency
+    p = DriveDissParams.from_circuit(0.1, 0.01, -2.5, 0.2)
+    with pytest.raises(ValueError, match="circulation time"):
+        CirculationChannel(small_model, 0.25, p, n_max=2, basis=small_basis)
+    CirculationChannel(small_model, 0.2, p, n_max=2, basis=small_basis)
 
 
 def test_at_omega_leaves_its_base_and_shares_the_unphased_pairs(
