@@ -46,7 +46,6 @@ from .subtraction import (
     f_sub_double,
     f_sub_single,
     gate_infidelity,
-    gate_infidelity_two_layer,
     p_fail_k1,
     p_fail_k2,
 )

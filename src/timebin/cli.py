@@ -208,7 +208,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="timebin_out",
                         help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="parallel workers for scans")
+                        help="parallel workers for scans, at most one per core")
     parser.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key")
     args = parser.parse_args(argv)

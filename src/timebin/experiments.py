@@ -208,16 +208,6 @@ def run_quench(cfg, outdir):
     return summary
 
 
-def free_boson_correlator(model, dt, n_steps, init_sites) -> np.ndarray:
-    """Permanent-based prediction for two noninteracting photons: the
-    sector-1 step unitary G gives amplitudes G_ia G_jb + G_ib G_ja."""
-    basis1 = enumerate_basis(model.n_sites, {1})
-    g = np.linalg.matrix_power(step_operator(model, dt, basis1), n_steps)
-    idx = basis1.rank(np.eye(model.n_sites, dtype=int))    # site -> index
-    g_a, g_b = (g[idx, idx[s]] for s in init_sites)
-    return np.abs(np.outer(g_a, g_b) + np.outer(g_b, g_a)) ** 2
-
-
 # --- spectrum ----------------------------------------------------------------
 
 
@@ -323,8 +313,10 @@ def run_steady_state(cfg, outdir, threads: int = 1):
     }
     jobs = [(k_dt, float(om)) for k_dt in cfg["K_dt_list"] for om in omegas]
     if threads > 1:
+        # the pool forks every worker at its first submit: never more
+        # workers than jobs or cores
         with ProcessPoolExecutor(
-            max_workers=min(threads, len(jobs)),
+            max_workers=min(threads, len(jobs), os.cpu_count() or 1),
             initializer=_init_scan_worker,
             initargs=(channels, tol, gs.states),
         ) as pool:

@@ -33,7 +33,6 @@ __all__ = [
     "step_operator",
     "exact_hamiltonian",
     "onsite_phase_table",
-    "plaquette_flux",
 ]
 
 
@@ -57,15 +56,6 @@ class LatticeModel:
     def site_xy(self, i: int):
         nx = self.shape[0]
         return i % nx, i // nx
-
-    def hop_phase(self, src: int, dst: int) -> float:
-        """Gauge phase of the directed hop src -> dst (amplitude -J e^{i phase})."""
-        for a, b, w in self.edges:
-            if (a, b) == (src, dst):
-                return cmath.phase(-w / self.J)
-            if (a, b) == (dst, src):
-                return -cmath.phase(-w / self.J)
-        raise KeyError(f"no edge between {src} and {dst}")
 
 
 def build_bose_hubbard(
@@ -120,22 +110,6 @@ def build_fqh(
         n_sites=N_x * N_y, edges=tuple(edges), U=U, geometry="square",
         shape=(N_x, N_y), boundary=boundary, J=J, phi_plaq=phi_plaq,
     )
-
-
-def plaquette_flux(model: LatticeModel, x: int, y: int) -> float:
-    """Accumulated hopping phase / 2 pi around the plaquette with lower-left
-    corner (x, y), oriented counterclockwise."""
-    if model.geometry != "square":
-        raise ValueError("plaquettes are defined for square lattices")
-    s = model.site_index
-    loop = [
-        (s(x, y), s(x + 1, y)),
-        (s(x + 1, y), s(x + 1, y + 1)),
-        (s(x + 1, y + 1), s(x, y + 1)),
-        (s(x, y + 1), s(x, y)),
-    ]
-    total = sum(model.hop_phase(a, b) for a, b in loop)
-    return total / (2 * np.pi)
 
 
 def edge_coloring(model: LatticeModel) -> tuple:

@@ -43,7 +43,6 @@ __all__ = [
     "simulate_schedule",
     "certify_equivalence",
     "serialize_schedule",
-    "parse_schedule",
 ]
 
 
@@ -349,59 +348,3 @@ def serialize_schedule(layout: TimeBinLayout, events) -> str:
             table = " ".join(_fmt(v) for v in ev.table)
             lines.append(f"PHASE {ev.waveguides[0]} {table}")
     return "\n".join(lines) + "\n"
-
-
-def parse_schedule(text: str):
-    """Inverse of serialize_schedule.  A text without its waveguides or
-    period line, or with a line it cannot read, raises ScheduleError."""
-    n_wg = None
-    period = None
-    assignment = {}
-    events = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if line.startswith("#"):
-                if parts[1] == "waveguides":
-                    n_wg = int(parts[2])
-                elif parts[1] == "period":
-                    period = Fraction(parts[2])
-                elif parts[1] == "bin":
-                    assignment[int(parts[2])] = (int(parts[3]),
-                                                 Fraction(parts[4]))
-                continue
-            if parts[0] == "DELAY":
-                events.append(
-                    ScheduleEvent("delay", (int(parts[1]),),
-                                  length=Fraction(parts[2]))
-                )
-            elif parts[0] == "BS":
-                wg = (int(parts[1]), int(parts[2]))
-                theta, phi = float(parts[3]), float(parts[4])
-                wins = None
-                if len(parts) > 5:
-                    wins = tuple(
-                        (Fraction(w.split(":")[0]), Fraction(w.split(":")[1]),
-                         float(w.split(":")[2]))
-                        for w in parts[5:]
-                    )
-                events.append(
-                    ScheduleEvent("bs", wg, theta=theta, phi=phi, windows=wins)
-                )
-            elif parts[0] == "PHASE":
-                events.append(
-                    ScheduleEvent("phase", (int(parts[1]),),
-                                  table=tuple(float(v) for v in parts[2:]))
-                )
-            else:
-                raise ValueError(parts[0])
-        except (IndexError, ValueError, ZeroDivisionError) as exc:
-            raise ScheduleError(f"cannot parse schedule line: {line}") from exc
-    if n_wg is None:
-        raise ScheduleError("schedule has no waveguides line")
-    if period is None:
-        raise ScheduleError("schedule has no period line")
-    return TimeBinLayout(n_wg, assignment, period), events

@@ -52,9 +52,7 @@ __all__ = [
     "f_sub_single",
     "f_sub_double",
     "gate_infidelity",
-    "gate_infidelity_two_layer",
     "closed_form_infidelity_square",
-    "lipschitz_gamma_threshold",
 ]
 
 DEFAULT_GRID_POINTS = 4097
@@ -71,12 +69,13 @@ def _bump_raw(t):
 
 @dataclass
 class PulseShape:
-    """Normalized temporal profile on [0, 1], sampled on a uniform grid."""
+    """Normalized temporal profile on [0, 1], sampled on a uniform grid;
+    func evaluates it at any t."""
 
     name: str
     grid: np.ndarray
     samples: np.ndarray
-    func: callable = field(default=None, repr=False)
+    func: callable = field(repr=False)
 
     @classmethod
     def square(cls, grid_points: int = DEFAULT_GRID_POINTS) -> "PulseShape":
@@ -93,24 +92,8 @@ class PulseShape:
         grid = np.linspace(0.0, 1.0, grid_points)
         return cls("bump", grid, f(grid), func=f)
 
-    @classmethod
-    def from_samples(cls, name: str, samples) -> "PulseShape":
-        from scipy.integrate import simpson
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 3:
-            raise ValueError("need a 1D array of at least 3 samples")
-        if np.any(samples < 0):
-            raise ValueError("pulse samples must be nonnegative")
-        grid = np.linspace(0.0, 1.0, samples.size)
-        norm = np.sqrt(simpson(samples**2, dx=1.0 / (samples.size - 1)))
-        if not norm > 0:
-            raise ValueError("pulse samples have zero norm")
-        return cls(name, grid, samples / norm)
-
     def evaluate(self, t: np.ndarray) -> np.ndarray:
-        if self.func is not None:
-            return self.func(t)
-        return np.interp(t, self.grid, self.samples)
+        return self.func(t)
 
     def norm_defect(self) -> float:
         """|1 - int |u|^2| under the composite Simpson rule on the grid."""
@@ -320,29 +303,6 @@ def gate_infidelity(p_fail: float, dphi: float) -> float:
     return 2.0 * p_fail * (1.0 - p_fail) * (1.0 - np.cos(dphi))
 
 
-def gate_infidelity_two_layer(
-    p1: float, p2: float, p3: float, p4: float,
-    phi1: float, phi2: float, phi3: float,
-) -> float:
-    """Two-layer gate infidelity 1 - F_gate with
-
-    F_gate = |p1 e^{i[(phi1-phi3)+(phi2-phi3)]} + p2 e^{i(phi2-phi3)}
-              + p3 e^{i(phi1-phi3)} + p4|^2.
-    """
-    ps = np.array([p1, p2, p3, p4], dtype=float)
-    if np.any(ps < 0) or np.any(ps > 1):
-        raise ValueError("branch probabilities must lie in [0, 1]")
-    if abs(ps.sum() - 1.0) > 1e-9:
-        raise ValueError(f"branch probabilities must sum to 1, got {ps.sum()}")
-    a = phi1 - phi3
-    b = phi2 - phi3
-    f = abs(
-        p1 * np.exp(1j * (a + b)) + p2 * np.exp(1j * b)
-        + p3 * np.exp(1j * a) + p4
-    ) ** 2
-    return float(1.0 - f)
-
-
 def closed_form_infidelity_square(gamma: float, k: int) -> float:
     """Exact square-pulse 1 - F_sub for k = 1, 2 (single layer)."""
     E = np.exp(-2.0 * gamma)
@@ -355,18 +315,3 @@ def closed_form_infidelity_square(gamma: float, k: int) -> float:
             * (1.0 - 1.0 / (2.0 * gamma) + (1.0 - E) / (4.0 * gamma**2))
         )
     raise ValueError("closed forms available for k = 1, 2 only")
-
-
-def lipschitz_gamma_threshold(pulse: PulseShape, eps: float) -> float:
-    """Coupling above which the failure probability provably drops below
-    4 eps for a smooth pulse: max of (1/(2 eta eps)) ln(M/eps), 2M, and
-    M^2 / (4 eps), with M the sup of u and 1/eta its Lipschitz constant."""
-    if not 0 < eps < 0.25:
-        raise ValueError("eps must be in (0, 1/4)")
-    M = float(np.max(pulse.samples))
-    slope = float(np.max(np.abs(np.gradient(pulse.samples, pulse.grid))))
-    eta = 1.0 / slope if slope > 0 else np.inf
-    terms = [2.0 * M, M**2 / (4.0 * eps)]
-    if np.isfinite(eta):
-        terms.append(np.log(M / eps) / (2.0 * eta * eps))
-    return float(max(terms))

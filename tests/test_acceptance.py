@@ -9,7 +9,6 @@ import pytest
 
 from timebin.dynamics import DriveDissChannel, DriveDissParams
 from timebin.experiments import (
-    free_boson_correlator,
     run_incoherent,
     run_quench,
     run_steady_state,
@@ -209,6 +208,16 @@ def test_criterion_6_incoherent_protocol(incoherent_run):
         f"{finals['vacuum']['ground_population']:.4f}, init gap "
         f"{abs(finals['vacuum']['P2'] - finals['ground']['P2']):.2e}"
     )
+
+
+def free_boson_correlator(model, dt, n_steps, init_sites) -> np.ndarray:
+    """Permanent-based prediction for two noninteracting photons: the
+    sector-1 step unitary G gives amplitudes G_ia G_jb + G_ib G_ja."""
+    basis1 = enumerate_basis(model.n_sites, {1})
+    g = np.linalg.matrix_power(step_operator(model, dt, basis1), n_steps)
+    idx = basis1.rank(np.eye(model.n_sites, dtype=int))    # site -> index
+    g_a, g_b = (g[idx, idx[s]] for s in init_sites)
+    return np.abs(np.outer(g_a, g_b) + np.outer(g_b, g_a)) ** 2
 
 
 def test_criterion_7_fermionization_quench(tmp_path):

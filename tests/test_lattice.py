@@ -12,11 +12,37 @@ from timebin.lattice import (
     edge_coloring,
     exact_hamiltonian,
     onsite_phase_table,
-    plaquette_flux,
     step_operator,
     trotter_step_sequence,
 )
 from timebin.spectral import step_unitary
+
+
+# the flux checks' oracle: the gauge phase summed around one plaquette
+def hop_phase(model, src: int, dst: int) -> float:
+    """Gauge phase of the directed hop src -> dst (amplitude -J e^{i phase})."""
+    for a, b, w in model.edges:
+        if (a, b) == (src, dst):
+            return cmath.phase(-w / model.J)
+        if (a, b) == (dst, src):
+            return -cmath.phase(-w / model.J)
+    raise KeyError(f"no edge between {src} and {dst}")
+
+
+def plaquette_flux(model, x: int, y: int) -> float:
+    """Accumulated hopping phase / 2 pi around the plaquette with lower-left
+    corner (x, y), oriented counterclockwise."""
+    if model.geometry != "square":
+        raise ValueError("plaquettes are defined for square lattices")
+    s = model.site_index
+    loop = [
+        (s(x, y), s(x + 1, y)),
+        (s(x + 1, y), s(x + 1, y + 1)),
+        (s(x + 1, y + 1), s(x, y + 1)),
+        (s(x, y + 1), s(x, y)),
+    ]
+    total = sum(hop_phase(model, a, b) for a, b in loop)
+    return total / (2 * np.pi)
 
 
 def test_bose_hubbard_edges():

@@ -9,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from timebin import cli
+from timebin import cli, experiments
 from timebin.experiments import run_steady_state
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -57,6 +57,38 @@ def test_scan_pool_leaves_no_worker(tmp_path):
     summary = run_steady_state(cfg, str(tmp_path), threads=2)
     assert summary["n_points"] == 2
     assert multiprocessing.active_children() == []
+
+
+def test_scan_workers_never_exceed_jobs_or_cores(tmp_path, monkeypatch):
+    # the pool forks all its workers at once, so a huge --threads must not
+    # reach it; a stand-in records the count and runs the jobs in process
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            seen.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "_worker_scan", None)
+    scan = dict(SCAN, N_x=2, omega_points=3)
+    cfg = cli.load_config(
+        "steady_state", overrides=[(k, json.dumps(v)) for k, v in scan.items()]
+    )
+    for cores, want in ((2, 2), (8, 3), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda n=cores: n)
+        summary = run_steady_state(cfg, str(tmp_path), threads=10**6)
+        assert summary["n_points"] == 3
+        assert seen.pop() == want, cores
 
 
 def test_steady_state_rejects_n_max_below_two(tmp_path, capsys):
