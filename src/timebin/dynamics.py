@@ -216,15 +216,6 @@ class DriveDissChannel:
                 basis.transfer(cols, target, amps[qs] * val[cols, qs])
             )
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros(rho.shape, dtype=complex)
-        for k in self.kraus:
-            tmp = k @ rho
-            # (K rho) K+ computed as (K (K rho)+)+ to keep both products
-            # in the fast sparse-times-dense path
-            out += (k @ tmp.conj().T).conj().T
-        return out
-
     def as_superoperator(self) -> sp.csr_matrix:
         """Sparse matrix acting on the row-major vec of rho:
         vec(K rho K+) = (K kron conj(K)) vec(rho)."""
@@ -376,10 +367,6 @@ class CirculationChannel:
         return buf[self._lift].reshape(rho.shape)
 
 
-def _trace_norm(mat: np.ndarray) -> float:
-    return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
-
-
 def fixed_point(channel, initial_rho: DensityMatrix, tol: float = 1e-9,
                 max_iter: int = 200_000) -> SteadyStateReport:
     """Iterate a trace-preserving channel to its fixed point by plain power
@@ -411,7 +398,7 @@ def fixed_point(channel, initial_rho: DensityMatrix, tol: float = 1e-9,
             break
 
     final = channel(rho)
-    residual = _trace_norm(final - rho)
+    residual = float(np.linalg.norm(final - rho, "nuc"))
     return SteadyStateReport(
         rho_fix=DensityMatrix(basis, rho),
         iterations=iterations,

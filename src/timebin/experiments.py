@@ -121,8 +121,8 @@ def _openblas_thread_controls() -> tuple:
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block (or, as a decorator, the function) with BLAS on one
-    thread, then restore the old counts.
+    """Run the decorated function with BLAS on one thread, then restore the
+    old counts.
 
     A run then does the same arithmetic, and writes the same bytes, whatever
     OPENBLAS_NUM_THREADS says: the spectrum's degenerate eigenvectors and
@@ -372,13 +372,11 @@ def _local_maxima(x, y):
 # --- incoherent protocol -------------------------------------------------------
 
 
+@_one_blas_thread()
 def run_incoherent(cfg, outdir):
     model = _fqh_model(cfg)
-    # the build's eigensolvers give thread-count-dependent bits (phi_1 and
-    # every eigenvector); the steps do not, and run faster on default BLAS
-    with _one_blas_thread():
-        protocol = IncoherentProtocol(model, cfg["delta_t"], cfg["chi"],
-                                      cfg["p_ref"], n_max=cfg["n_max"])
+    protocol = IncoherentProtocol(model, cfg["delta_t"], cfg["chi"],
+                                  cfg["p_ref"], n_max=cfg["n_max"])
     rows = []
     finals = {}
     for init in cfg["inits"]:

@@ -49,10 +49,6 @@ class LatticeModel:
     J: float = 1.0
     phi_plaq: float = 0.0
 
-    def site_index(self, x: int, y: int = 0) -> int:
-        nx = self.shape[0]
-        return (x % nx) + nx * (y % (self.shape[1] if len(self.shape) > 1 else 1))
-
     def site_xy(self, i: int):
         nx = self.shape[0]
         return i % nx, i // nx

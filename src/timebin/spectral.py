@@ -7,15 +7,15 @@ on the principal branch [-pi/dt, pi/dt) and agrees with Hamiltonian
 eigenvalues whenever U = exp(-i H dt) and |E| < pi/dt.  Eigenphases within
 1e-6 of the branch cut are flagged as aliased.
 
-Eigensolver, one path for every caller: ``effective_energies`` diagonalizes
-a step unitary through its Hermitian Cayley transform.  For V = e^{-i alpha} U
+Eigensolver, one path for every caller: ``_unitary_eig`` diagonalizes a
+step unitary through its Hermitian Cayley transform.  For V = e^{-i alpha} U
 the matrix C = i(2 (I + V)^{-1} - I) is Hermitian, has U's eigenvectors, and
 maps V's eigenvalue e^{i theta} to tan(theta / 2).  One LU inverse and one
 Hermitian eigensolve (``eigh``, driver evr) cost about half of a complex
 Schur decomposition.  The result is kept only when U = Q diag(u) Q^dag holds
-to UNITARY_TOL (see ``effective_energies``).
+to UNITARY_TOL (see ``_unitary_eig``).
 
-Momentum blocks: ``sector_spectra`` feeds ``effective_energies`` the blocks
+Momentum blocks: ``sector_spectra`` feeds ``_spectrum`` the blocks
 of a lattice translation that commutes with the sector's step.  The
 candidates shift the sites by s rows of the model's last axis (y on the
 square lattice, x on a chain), i -> (i + s n_sites / N_last) mod n_sites,
@@ -142,7 +142,16 @@ def step_unitary(model: LatticeModel, delta_t: float, sector: int) -> np.ndarray
 def effective_energies(
     u_matrix: np.ndarray, delta_t: float, sector: int = -1
 ) -> SpectralResult:
-    """Diagonalize a unitary and convert eigenphases to effective energies.
+    """Diagonalize a unitary and convert eigenphases to effective energies:
+    the spectrum of one block, the identity, under ``_unitary_eig``'s
+    contract."""
+    u_matrix = np.asarray(u_matrix, dtype=complex)
+    eye = sp.identity(len(u_matrix), dtype=complex, format="csr")
+    return _spectrum([eye], [u_matrix], delta_t, sector)
+
+
+def _unitary_eig(u_matrix: np.ndarray):
+    """Orthonormal eigenvectors Q and eigenphases u of a unitary.
 
     Q holds the eigenvectors of the Hermitian Cayley matrix of e^{-i alpha} U
     (module docstring), orthonormal also through degenerate clusters, and
@@ -153,26 +162,39 @@ def effective_energies(
     C, so the next of CAYLEY_SHIFTS is tried; when none holds, the input is
     not unitary: ValueError.
     """
-    u_matrix = np.asarray(u_matrix, dtype=complex)
     for alpha in CAYLEY_SHIFTS:
         try:
             q, u, defect = _cayley_eig(u_matrix, alpha)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
             continue        # an eigenvalue on (or at round-off from) the pole
         if defect <= UNITARY_TOL:
-            break
-    else:
-        raise ValueError("input is not unitary (no orthonormal eigenbasis "
-                         "with unit-modulus eigenvalues)")
+            return q, u
+    raise ValueError("input is not unitary (no orthonormal eigenbasis "
+                     "with unit-modulus eigenvalues)")
+
+
+def _spectrum(blocks: list, mats, delta_t: float,
+              sector: int) -> SpectralResult:
+    """SpectralResult of a unitary U from its blocks B_k^dag U B_k (``mats``,
+    taken one at a time) and their isometries B_k (``blocks``, together a
+    unitary): each block's eigenpairs by ``_unitary_eig``, all labels in
+    one stable sort by energy, and Q the direct sum of the B_k Q_k in that
+    order.  Tied energies keep block order, then eigh order."""
+    eigs = [_unitary_eig(m) for m in mats]
+    u = np.concatenate([e[1] for e in eigs])
     energies = -np.angle(u) / delta_t
     order = np.argsort(energies, kind="stable")
+    dest = np.argsort(order)        # each block column's place in Q
+    q = np.empty((blocks[0].shape[0], len(u)), dtype=complex)
+    start = 0
+    for b, (q_k, _) in zip(blocks, eigs):
+        q[:, dest[start:start + b.shape[1]]] = b @ q_k
+        start += b.shape[1]
     energies = energies[order]
-    u = u[order]
-    vecs = q[:, order]
-    aliased = (np.pi / delta_t - np.abs(energies)) < BRANCH_CUT_TOL
     return SpectralResult(
-        sector=sector, delta_t=delta_t, eigenphases=u,
-        energies=energies, eigenvectors=vecs, aliased=aliased,
+        sector=sector, delta_t=delta_t, eigenphases=u[order],
+        energies=energies, eigenvectors=q,
+        aliased=(np.pi / delta_t - np.abs(energies)) < BRANCH_CUT_TOL,
     )
 
 
@@ -218,7 +240,9 @@ def sector_spectra(model: LatticeModel, delta_t: float,
         sl = basis.sector_slice(k)
         u = np.ascontiguousarray(step[sl, sl])
         shift, perm = _commuting_shift(model, basis, k, u)
-        res = _blocked_energies(u, perm, model.shape[-1] // shift, delta_t, k)
+        blocks = _orbit_isometries(perm, model.shape[-1] // shift)
+        res = _spectrum(blocks, ((b.conj().T @ u) @ b for b in blocks),
+                        delta_t, k)
         del u
         v = res.eigenvectors
         mean_h = np.vecdot(v, h[sl, sl] @ v, axis=0).real
@@ -280,30 +304,6 @@ def _orbit_isometries(perm: np.ndarray, m: int) -> list:
         blocks.append(sp.csr_matrix((vals, (powers[:m, r][held], cols)),
                                     shape=(n, len(r))))
     return blocks
-
-
-def _blocked_energies(u: np.ndarray, perm: np.ndarray, m: int,
-                      delta_t: float, sector: int) -> SpectralResult:
-    """effective_energies of u assembled from its momentum blocks: each
-    B_k^dag u B_k is diagonalized under its own contract, Q is the direct
-    sum of the B_k Q_k, and all labels are sorted by energy."""
-    blocks = _orbit_isometries(perm, m)
-    parts = [effective_energies((b.conj().T @ u) @ b, delta_t, sector)
-             for b in blocks]
-    energies = np.concatenate([p.energies for p in parts])
-    order = np.argsort(energies, kind="stable")
-    dest = np.argsort(order)        # each block column's place in Q
-    q = np.empty(u.shape, dtype=complex)
-    start = 0
-    for b, p in zip(blocks, parts):
-        q[:, dest[start:start + b.shape[1]]] = b @ p.eigenvectors
-        start += b.shape[1]
-    return SpectralResult(
-        sector=sector, delta_t=delta_t,
-        eigenphases=np.concatenate([p.eigenphases for p in parts])[order],
-        energies=energies[order], eigenvectors=q,
-        aliased=np.concatenate([p.aliased for p in parts])[order],
-    )
 
 
 def _manifolds(energies: np.ndarray, order: np.ndarray, delta_t: float) -> list:

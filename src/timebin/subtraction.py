@@ -92,9 +92,6 @@ class PulseShape:
         grid = np.linspace(0.0, 1.0, grid_points)
         return cls("bump", grid, f(grid), func=f)
 
-    def evaluate(self, t: np.ndarray) -> np.ndarray:
-        return self.func(t)
-
     def norm_defect(self) -> float:
         """|1 - int |u|^2| under the composite Simpson rule on the grid."""
         from scipy.integrate import simpson
@@ -199,7 +196,7 @@ def derive_quantities(pulse: PulseShape, gamma: float) -> SubtractionDerived:
     n = _refined_axis(pulse, gamma)
     # finest axis: step h/8 resolves the midpoints of the h/4 march
     t8 = np.linspace(0.0, 1.0, 8 * n + 1)
-    u8 = pulse.evaluate(t8)
+    u8 = pulse.func(t8)
 
     # u~ at step h/4, forcing 2 gamma u
     ut4 = _rk4_filter(-2.0 * gamma, 1.0 / (4 * n), 2.0 * gamma * u8)

@@ -23,6 +23,13 @@ GOLDEN = Path(__file__).resolve().parent
 
 # (experiment, case) -> config keys over the CLI defaults
 CASES = {
+    ("quench", "default"): {},
+    ("spectrum", "default"): {},
+    # the two-point 3x4 scan of tests/test_steady_scan.py
+    ("steady_state", "scan3x4"): {"N_x": 3, "N_y": 4, "omega_min": -2.8,
+                                  "omega_max": -2.5, "omega_points": 2,
+                                  "tol": 1e-3},
+    ("incoherent", "fqh4x4"): {"n_circulations": 250},
     ("subtraction", "reduced"): {"grid_points": 257,
                                  "gamma_grid": [50.0, 4000.0]},
     ("compile", "chain_even_simple"): {"geometry": "chain",

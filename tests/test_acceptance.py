@@ -44,7 +44,8 @@ from timebin.subtraction import (
     p_fail_k1,
     p_fail_k2,
 )
-from tests.test_dynamics import lindblad_propagator, random_density
+from tests.test_dynamics import (apply_kraus, lindblad_propagator,
+                                 random_density)
 
 DT = 0.25
 
@@ -270,7 +271,7 @@ def test_criterion_8_channel_correctness():
     for dt in (0.2, 0.1, 0.05, 0.025):
         p = DriveDissParams.from_circuit(K * dt, ratio * K * dt, 0.0, dt)
         ch = DriveDissChannel(basis, 0, p)
-        out = ch.apply(rho0)
+        out = apply_kraus(ch, rho0)
         prop = lindblad_propagator(4, p.F, p.gamma_loss, dt)
         exact = (prop @ rho0.ravel()).reshape(4, 4)
         errs.append(np.sum(np.linalg.svd(out - exact, compute_uv=False)))

@@ -18,6 +18,12 @@ from timebin.lattice import (
 from timebin.spectral import step_unitary
 
 
+# the number of site (x, y), both wrapped onto the lattice
+def site_index(model, x: int, y: int = 0) -> int:
+    nx = model.shape[0]
+    return (x % nx) + nx * (y % (model.shape[1] if len(model.shape) > 1 else 1))
+
+
 # the flux checks' oracle: the gauge phase summed around one plaquette
 def hop_phase(model, src: int, dst: int) -> float:
     """Gauge phase of the directed hop src -> dst (amplitude -J e^{i phase})."""
@@ -34,7 +40,8 @@ def plaquette_flux(model, x: int, y: int) -> float:
     corner (x, y), oriented counterclockwise."""
     if model.geometry != "square":
         raise ValueError("plaquettes are defined for square lattices")
-    s = model.site_index
+    def s(x, y):
+        return site_index(model, x, y)
     loop = [
         (s(x, y), s(x + 1, y)),
         (s(x + 1, y), s(x + 1, y + 1)),
@@ -267,7 +274,7 @@ def magnetic_translation(model, basis, dx, dy):
     occ = basis.occupations()
     x, y = np.arange(model.n_sites) % nx, np.arange(model.n_sites) // nx
     moved = np.zeros_like(occ)
-    moved[:, model.site_index(x + dx, y + dy)] = occ
+    moved[:, site_index(model, x + dx, y + dy)] = occ
     t = np.zeros((basis.dim, basis.dim), dtype=complex)
     t[basis.rank(moved), np.arange(basis.dim)] = np.exp(
         2j * np.pi * model.phi_plaq * dx * (occ @ y))

@@ -215,7 +215,7 @@ def test_half_step_arrays_are_the_pulse_on_the_half_grid(square, bump):
         for gamma in (100.0, 4000.0):
             d = derive_quantities(pulse, gamma)
             t2 = np.linspace(0.0, 1.0, 2 * (d.grid.size - 1) + 1)
-            assert np.array_equal(d.u_half, pulse.evaluate(t2))
+            assert np.array_equal(d.u_half, pulse.func(t2))
             assert np.array_equal(
                 d.G_half,
                 1.0 - cumulative_simpson(d.u_half**2, x=t2, initial=0.0))
