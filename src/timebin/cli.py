@@ -18,6 +18,7 @@ from .dynamics import (INITS, MAX_CHANNEL_STATES, ProtocolError,
                        check_ancilla_cut, check_refresh)
 from .fock import sector_dimension
 from .lattice import build_bose_hubbard, build_fqh
+from .subtraction import refined_intervals
 
 # largest Fock basis a lattice run may build: its dense complex step is
 # then at most 4096^2 * 16 B = 256 MiB
@@ -164,9 +165,12 @@ def validate_config(experiment: str, cfg: dict):
                           f"{MAX_CHANNEL_STATES}; lower n_max or the lattice "
                           "size")
     # build the model (and a compile's layout) the run will build, and
-    # check the protocol's refresh rule and the drive ancilla's truncation,
-    # so a config the lattice, schedule or channel rules reject fails here
+    # check the protocol's refresh rule, the drive ancilla's truncation and
+    # the size of the subtraction's finest grid, so a config the lattice,
+    # schedule, channel or grid rules reject fails here
     try:
+        if experiment == "subtraction":
+            refined_intervals(cfg["grid_points"], max(cfg["gamma_grid"]))
         if experiment == "incoherent":
             check_refresh(cfg["chi"], cfg["p_ref"])
         for k_dt in cfg.get("K_dt_list", []):

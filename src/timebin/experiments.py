@@ -434,9 +434,9 @@ def run_subtraction(cfg, outdir):
                     name, k, gamma, pf.get(k, float("nan")), fs[k], fd,
                     gate_infidelity(pf[1], math.pi),
                 ))
-            # no derivation outlives its row: holding one into the next
-            # derivation (even the 3 MB gamma = 4000 one) raised the run's
-            # peak RSS by 10 MB
+            # no derivation outlives its row: holding the 6.3 MB gamma =
+            # 4000 one into the gamma = 10,000 derivation raised a fresh
+            # run's peak RSS by 5 MB
             del d
     write_csv(
         os.path.join(outdir, "subtraction.csv"),

@@ -103,6 +103,10 @@ def test_quench_reads_the_wavefront_speed_of_either_sign_of_j(tmp_path):
     # an angle that overflows the drive channel's orbit generator
     ["steady_state", "--set", "alpha_ratio=0", "--set", "K_dt_list=[1e308]"],
     ["subtraction", "--set", "gamma_grid=[Infinity]"],
+    # a finest subtraction grid above MAX_FINE_POINTS (2,147,483,649 and
+    # 8,000,000,001 points)
+    ["subtraction", "--set", "gamma_grid=[1e7]"],
+    ["subtraction", "--set", "grid_points=1000000001"],
     # an integer too large for a float
     ["spectrum", "--set", "U=1" + "0" * 400],
     # a Fock basis above MAX_BASIS_STATES (4,845 and 16,524 states)

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from timebin import experiments, subtraction
 from timebin.subtraction import (
@@ -283,24 +285,83 @@ def test_run_subtraction_derives_once_per_pulse_and_gamma(monkeypatch, tmp_path)
 
 
 def test_import_leaves_scipy_quadratures_unloaded():
-    # import timebin loads neither module; deriving and every estimator
-    # then load scipy.integrate, but never scipy.signal
+    # neither import timebin nor building both pulses, deriving, every
+    # estimator, ode_residual and norm_defect loads scipy.integrate or
+    # scipy.signal
     code = """if True:
         import sys, timebin
-        print(sorted(m for m in sys.modules
-                     if m in ('scipy.integrate', 'scipy.signal')))
+        def loaded():
+            print(sorted(m for m in sys.modules
+                         if m in ('scipy.integrate', 'scipy.signal')))
+        loaded()
         from timebin.subtraction import (PulseShape, derive_quantities,
             f_sub_double, f_sub_single, p_fail_k1, p_fail_k2)
-        d = derive_quantities(PulseShape.square(17), 100.0)
-        p_fail_k1(d), p_fail_k2(d), f_sub_single(d, 2), f_sub_double(d, 2)
-        d.ode_residual()
-        print('scipy.signal' in sys.modules)
+        for pulse in (PulseShape.square(17), PulseShape.bump(17)):
+            d = derive_quantities(pulse, 100.0)
+            p_fail_k1(d), p_fail_k2(d), f_sub_single(d, 2), f_sub_double(d, 2)
+            d.ode_residual(), pulse.norm_defect()
+        loaded()
     """
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, timeout=60,
                          env=dict(os.environ, PYTHONPATH=str(src)))
-    assert out.stdout.split() == ["[]", "False"]
+    assert out.stdout.split() == ["[]", "[]"]
+
+
+# a length of either parity, a seed for the samples, their scale and a step
+@settings(max_examples=200)
+@given(st.integers(3, 2049), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-8, 1.0, 1e6]), st.floats(1e-6, 1.0))
+@example(3, 0, 1.0, 0.5)
+@example(4, 0, 1.0, 0.5)
+@example(2048, 1, 1.0, 1 / 2047)
+@example(2049, 1, 1.0, 1 / 2048)
+def test_simpson_rules_are_scipys(size, seed, scale, dx):
+    # the NumPy rules keep scipy's uniform-grid arithmetic: equal to the
+    # last bit, for odd and even sample counts alike
+    from scipy.integrate import cumulative_simpson, simpson
+    y = scale * np.random.default_rng(seed).standard_normal(size)
+    assert subtraction._simpson(y, dx) == simpson(y, dx=dx)
+    assert np.array_equal(subtraction._cumulative_simpson(y, dx),
+                          cumulative_simpson(y, dx=dx, initial=0.0))
+
+
+def test_even_sample_count_reaches_the_estimators():
+    # 100 grid points at gamma <= 6 are never refined, so the estimators
+    # integrate 100 samples: Simpson's even-count rule, scipy's to the bit
+    from scipy.integrate import simpson
+    d = derive_quantities(PulseShape.square(100), 5.0)
+    assert d.grid.size == 100
+    want = simpson((d.u - d.u_tilde) ** 2, dx=d.h) + d.u_tilde[-1] ** 2 / 20.0
+    assert p_fail_k1(d) == want
+    assert f_sub_single(d, 1) == simpson(d.u_tilde * d.u, dx=d.h) ** 2
+
+
+def test_derivation_holds_grid_sized_arrays_it_owns():
+    # no field is a view of the finer march grids: each owns its data, and
+    # together they hold 6 arrays of n+1 floats and 3 of 2n+1
+    d = derive_quantities(PulseShape.square(257), 4000.0)
+    n = subtraction.refined_intervals(257, 4000.0)
+    assert d.grid.size == n + 1 == 65537
+    arrays = {f.name: getattr(d, f.name) for f in dataclasses.fields(d)
+              if isinstance(getattr(d, f.name), np.ndarray)}
+    assert len(arrays) == 9
+    for name, a in arrays.items():
+        assert a.flags.owndata and a.flags.c_contiguous, name
+    assert sum(a.nbytes for a in arrays.values()) <= 8 * (
+        6 * (n + 1) + 3 * (2 * n + 1))
+
+
+def test_refined_grid_is_bounded():
+    # the finest axis 8n+1 may reach MAX_FINE_POINTS and no further: the
+    # default 4097-point grid takes gamma = 2^16 (n = 2^20), not 70,000
+    assert subtraction.refined_intervals(4097, 65536.0) == 2**20
+    assert 8 * 2**20 + 1 == subtraction.MAX_FINE_POINTS
+    for grid_points, gamma in ((4097, 7e4), (4097, 1e7), (4097, 1e308),
+                               (1000000001, 1.0)):
+        with pytest.raises(ValueError, match="finest axis"):
+            subtraction.refined_intervals(grid_points, gamma)
 
 
 def _rk4_loop(a, h, f, y0):
@@ -327,3 +388,15 @@ def test_rk4_march_matches_the_step_by_step_loop(ah, y0):
     got = subtraction._rk4_filter(ah / h, h, f, y0)
     assert got.shape == want.shape and got[0] == y0
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("block", [2, 3, 7, 400, 401])
+def test_blocked_march_is_the_one_solve(monkeypatch, block):
+    # blocks starting at the last solved row of the one before give the
+    # one-block march to the last bit, whatever the block length
+    n = 400
+    f = np.random.default_rng(5).uniform(-1.0, 1.0, 2 * n + 1)
+    whole = subtraction._rk4_filter(-20.0, 1.0 / n, f, -0.3)
+    monkeypatch.setattr(subtraction, "MARCH_BLOCK", block)
+    assert np.array_equal(subtraction._rk4_filter(-20.0, 1.0 / n, f, -0.3),
+                          whole)
